@@ -1,7 +1,7 @@
 """The NDP GEMM engine: cycle-level timing plus functional execution.
 
-This is the "cycle-level expert computation simulator" of Section 4.1:
-it walks the output-stationary tile schedule, charging each tile
+This is the "cycle-level expert computation simulator" of Section 4.1.
+It costs the output-stationary tile schedule, charging each tile
 
 - compute cycles on the systolic cluster (K + pipeline skew), and
 - memory cycles against the device's DRAM bandwidth (as calibrated by
@@ -10,6 +10,10 @@ it walks the output-stationary tile schedule, charging each tile
 overlapping the two under double buffering: the engine's total is the
 pipelined makespan  fill + sum(max(compute_i, mem_i)) + drain, exactly
 the behaviour of an operand-prefetching tile pipeline.
+
+The sum is not walked.  Tiles come in at most 2 widths x 2 depths x 3
+heights (see :func:`_gemm_cost`), so one GEMM costs O(1), and each
+distinct (configuration, m, n, k) is costed once per process.
 
 For the paper's dimensions the design point is rate-matched: a 4x256
 stripe needs K compute cycles and K*256*2 bytes of weights, which at
@@ -20,7 +24,9 @@ argument for small-height PE arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,6 +63,104 @@ class GEMMExecution:
         return 2.0 * self.m * self.n * self.k / self.seconds
 
 
+def _schedule(
+    spec: NDPCoreSpec, dtype_bytes: int
+) -> tuple[SystolicCluster, OutputStationaryTiler]:
+    """The cluster and tile schedule an engine with ``spec`` runs."""
+    cluster = SystolicCluster(spec.n_arrays, spec.array_rows, spec.array_cols)
+    tiler = OutputStationaryTiler(
+        tile_rows=cluster.tile_rows,
+        tile_cols=cluster.tile_cols,
+        wgt_buffer_bytes=spec.exp_buffer_bytes,
+        dtype_bytes=dtype_bytes,
+    )
+    return cluster, tiler
+
+
+@lru_cache(maxsize=4096)
+def _gemm_cost(
+    spec: NDPCoreSpec,
+    bytes_per_cycle: float,
+    dtype_bytes: int,
+    m: int,
+    n: int,
+    k: int,
+) -> GEMMExecution:
+    """Timing of the :class:`OutputStationaryTiler` stream, closed form.
+
+    Every tile is one of at most 12 variants: 2 n-stripe widths (full,
+    ragged last) x 2 k-chunk depths (every chunk but the last, and the
+    last, which also writes the outputs back) x 3 m-stripe heights
+    (the first, which also fetches the weight chunk; the full middle
+    ones; the last).  The totals are each variant's cost times its
+    count, plus the first tile's memory cycles as pipeline fill.  The
+    arithmetic is integer apart from the per-tile
+    ``ceil(bytes / bytes_per_cycle)``, so the result equals the
+    tile-by-tile walk exactly.
+
+    The cache key is every input the cost depends on: the engine's
+    cluster and tiler are built from ``spec`` and ``dtype_bytes`` alone
+    (:func:`_schedule`) and ``NDPCoreSpec`` is frozen, so an entry
+    cannot go stale, and engines of equal configuration share entries.
+    """
+    if m == 0 or n == 0 or k == 0:
+        return GEMMExecution(m, n, k, 0, 0, 0, 0, 0, 0.0)
+    cluster, tiler = _schedule(spec, dtype_bytes)
+    rows, cols = tiler.tile_rows, tiler.tile_cols
+    # (count, size) in walk order, so the first nonzero-count variant
+    # of each dimension holds the first tile.
+    n_stripes = -(-n // cols)
+    n_variants = ((n_stripes - 1, cols), (1, n - (n_stripes - 1) * cols))
+    m_stripes = -(-m // rows)
+    m_variants = (
+        (1, min(rows, m)),
+        (max(0, m_stripes - 2), rows),
+        (min(1, m_stripes - 1), m - (m_stripes - 1) * rows),
+    )
+
+    compute_total = mem_total = pipelined = dram_bytes = n_tiles = first_mem = 0
+    for n_count, nn in n_variants:
+        chunk = tiler.k_chunk(nn)
+        n_chunks = -(-k // chunk)
+        k_variants = ((n_chunks - 1, chunk), (1, k - (n_chunks - 1) * chunk))
+        for ki, (k_count, kk) in enumerate(k_variants):
+            compute_cycles = cluster.stripe_cycles(kk)
+            for mi, (m_count, mm) in enumerate(m_variants):
+                count = n_count * k_count * m_count
+                if count == 0:
+                    continue
+                # Activations stream on every tile, the weight chunk on
+                # the first m-stripe, outputs on the last k-chunk.
+                tile_bytes = dtype_bytes * (
+                    mm * kk
+                    + (kk * nn if mi == 0 else 0)
+                    + (mm * nn if ki == 1 else 0)
+                )
+                mc = math.ceil(tile_bytes / bytes_per_cycle)
+                if n_tiles == 0:
+                    first_mem = mc
+                compute_total += count * compute_cycles
+                mem_total += count * mc
+                pipelined += count * max(compute_cycles, mc)
+                dram_bytes += count * tile_bytes
+                n_tiles += count
+    # Pipeline fill (the first operand fetch) is not hidden by the
+    # steady-state overlap; the last tile's compute (drain) is already
+    # inside the final max() term.
+    total = first_mem + pipelined
+    return GEMMExecution(
+        m=m,
+        n=n,
+        k=k,
+        n_tiles=n_tiles,
+        compute_cycles=compute_total,
+        memory_cycles=mem_total,
+        pipelined_cycles=total,
+        dram_bytes=dram_bytes,
+        seconds=total / spec.clock_hz,
+    )
+
+
 class NDPGemmEngine:
     """Cycle-level GEMM timing and functional execution for one device.
 
@@ -76,14 +180,8 @@ class NDPGemmEngine:
         self.spec = spec
         self.mem_bandwidth = mem_bandwidth
         self.dtype_bytes = dtype_bytes
-        self.cluster = SystolicCluster(spec.n_arrays, spec.array_rows, spec.array_cols)
+        self.cluster, self.tiler = _schedule(spec, dtype_bytes)
         self.wgt_buffer = DoubleBuffer("exp-buffer", spec.exp_buffer_bytes)
-        self.tiler = OutputStationaryTiler(
-            tile_rows=self.cluster.tile_rows,
-            tile_cols=self.cluster.tile_cols,
-            wgt_buffer_bytes=spec.exp_buffer_bytes,
-            dtype_bytes=dtype_bytes,
-        )
         #: Bytes the DRAM can stream per NDP clock cycle.
         self.bytes_per_cycle = mem_bandwidth / spec.clock_hz
 
@@ -115,79 +213,13 @@ class NDPGemmEngine:
     def gemm_execution(self, m: int, n: int, k: int) -> GEMMExecution:
         """Cycle-level timing for C[m,n] = A[m,k] @ B[k,n].
 
-        Walks the tile schedule in grouped form: within one
-        (n-stripe, k-chunk) the m-stripe tiles are identical except for
-        the first (which also fetches the weight chunk) and a possible
-        ragged last stripe, so each group is costed once and
-        multiplied.  Identical in result to iterating
-        ``self.tiler.tiles`` tile by tile, but O(n/256 * k/chunk).
+        Equal, field for field, to walking ``self.tiler.tiles`` tile by
+        tile, but closed form and cached; see :func:`_gemm_cost`.
         """
-        if m == 0 or n == 0 or k == 0:
-            return GEMMExecution(m, n, k, 0, 0, 0, 0, 0, 0.0)
-        dt = self.tiler.dtype_bytes
-        rows = self.tiler.tile_rows
-        bpc = self.bytes_per_cycle
-
-        def mem_cycles(nbytes: int) -> int:
-            return int(np.ceil(nbytes / bpc))
-
-        n_full_m, m_rem = divmod(m, rows)
-        m_stripes = n_full_m + (1 if m_rem else 0)
-
-        compute_total = 0
-        mem_total = 0
-        pipelined = 0
-        dram_bytes = 0
-        n_tiles = 0
-        first_mem = 0
-        for n0 in range(0, n, self.tiler.tile_cols):
-            nn = min(self.tiler.tile_cols, n - n0)
-            chunk = self.tiler.k_chunk(nn)
-            n_chunks = -(-k // chunk)
-            for ki, k0 in enumerate(range(0, k, chunk)):
-                kk = min(chunk, k - k0)
-                last_chunk = ki == n_chunks - 1
-                compute_cycles = self.cluster.stripe_cycles(kk)
-                # Tile variants within this (n-stripe, k-chunk) group.
-                variants: list[tuple[int, int, int]] = []  # (count, mm, wgt)
-                wgt = kk * nn * dt
-                if m_stripes == 1:
-                    variants.append((1, m, wgt))
-                else:
-                    variants.append((1, rows, wgt))
-                    full_rest = n_full_m - 1
-                    if full_rest > 0:
-                        variants.append((full_rest, rows, 0))
-                    if m_rem:
-                        variants.append((1, m_rem, 0))
-                for count, mm, wgt_bytes in variants:
-                    act = mm * kk * dt
-                    out = mm * nn * dt if last_chunk else 0
-                    tile_bytes = act + wgt_bytes + out
-                    mc = mem_cycles(tile_bytes)
-                    if n_tiles == 0:
-                        first_mem = mc
-                    compute_total += count * compute_cycles
-                    mem_total += count * mc
-                    pipelined += count * max(compute_cycles, mc)
-                    dram_bytes += count * tile_bytes
-                    n_tiles += count
-        # Pipeline fill (the first operand fetch) is not hidden by the
-        # steady-state overlap; the last tile's compute (drain) is
-        # already inside the final max() term.
-        total = first_mem + pipelined
-        seconds = total / self.spec.clock_hz
-        return GEMMExecution(
-            m=m,
-            n=n,
-            k=k,
-            n_tiles=n_tiles,
-            compute_cycles=compute_total,
-            memory_cycles=mem_total,
-            pipelined_cycles=total,
-            dram_bytes=dram_bytes,
-            seconds=seconds,
-        )
+        for name, dim in (("m", m), ("n", n), ("k", k)):
+            if dim < 0:
+                raise ValueError(f"GEMM dim {name} must be non-negative, got {dim}")
+        return _gemm_cost(self.spec, self.bytes_per_cycle, self.dtype_bytes, m, n, k)
 
     def gemm_time(self, m: int, n: int, k: int) -> float:
         """Seconds for one GEMM, excluding host dispatch."""

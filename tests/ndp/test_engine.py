@@ -1,12 +1,14 @@
 """NDP GEMM engine: cycle model + functional execution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.specs import MONDE_DEVICE
-from repro.ndp.engine import NDPGemmEngine
+from repro.ndp.engine import GEMMExecution, NDPGemmEngine, _gemm_cost
 
 
 @pytest.fixture(scope="module")
@@ -19,26 +21,85 @@ def test_zero_gemm_is_free(engine):
     assert ex.seconds == 0.0 and ex.n_tiles == 0
 
 
-def test_grouped_matches_tile_stream(engine):
-    """The closed-form walk must agree exactly with iterating tiles."""
-    for m, n, k in [(1, 256, 64), (4, 512, 100), (7, 300, 129), (33, 768, 200)]:
-        comp = mem = pipe = traffic = 0
-        first = None
-        for t in engine.tiler.tiles(m, n, k):
-            c = engine.cluster.stripe_cycles(t.k)
-            b = t.act_bytes + t.wgt_bytes + t.out_bytes
-            mc = int(np.ceil(b / engine.bytes_per_cycle))
-            if first is None:
-                first = mc
-            comp += c
-            mem += mc
-            pipe += max(c, mc)
-            traffic += b
-        ex = engine.gemm_execution(m, n, k)
-        assert ex.compute_cycles == comp
-        assert ex.memory_cycles == mem
-        assert ex.pipelined_cycles == first + pipe
-        assert ex.dram_bytes == traffic
+def _walk(engine: NDPGemmEngine, m: int, n: int, k: int) -> GEMMExecution:
+    """The engine's cost, recomputed by iterating the tile stream."""
+    comp = mem = pipe = traffic = tiles = 0
+    first = None
+    for t in engine.tiler.tiles(m, n, k):
+        c = engine.cluster.stripe_cycles(t.k)
+        b = t.act_bytes + t.wgt_bytes + t.out_bytes
+        mc = int(np.ceil(b / engine.bytes_per_cycle))
+        if first is None:
+            first = mc
+        comp += c
+        mem += mc
+        pipe += max(c, mc)
+        traffic += b
+        tiles += 1
+    total = (first or 0) + pipe
+    return GEMMExecution(
+        m, n, k, tiles, comp, mem, total, traffic, total / engine.spec.clock_hz
+    )
+
+
+BW = MONDE_DEVICE.effective_bandwidth
+SPECS = [
+    MONDE_DEVICE.ndp,
+    dataclasses.replace(MONDE_DEVICE.ndp, exp_buffer_bytes=8 * 1024),
+    dataclasses.replace(MONDE_DEVICE.ndp, n_arrays=24),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(0, 40),
+    n=st.integers(0, 1100),
+    k=st.integers(0, 600),
+    spec=st.sampled_from(SPECS),
+    bandwidth=st.sampled_from([BW, 137.3e9]),
+    dtype_bytes=st.sampled_from([1, 2]),
+)
+@example(m=1, n=256, k=64, spec=SPECS[0], bandwidth=BW, dtype_bytes=2)
+@example(m=4, n=512, k=100, spec=SPECS[0], bandwidth=BW, dtype_bytes=2)
+@example(m=7, n=300, k=129, spec=SPECS[0], bandwidth=BW, dtype_bytes=2)
+@example(m=33, n=768, k=200, spec=SPECS[0], bandwidth=BW, dtype_bytes=2)
+@example(m=3, n=100, k=50, spec=SPECS[0], bandwidth=BW, dtype_bytes=2)
+def test_grouped_matches_tile_stream(m, n, k, spec, bandwidth, dtype_bytes):
+    """The closed-form cost equals iterating the tiler's stream, field
+    for field, over ragged m/n/k, n < 256, single- and multi-chunk K,
+    other bandwidths, buffer sizes, array counts and dtypes."""
+    engine = NDPGemmEngine(spec, bandwidth, dtype_bytes=dtype_bytes)
+    assert engine.gemm_execution(m, n, k) == _walk(engine, m, n, k)
+
+
+@pytest.mark.parametrize(
+    "dims, name", [((-1, 256, 64), "m"), ((4, -2, 64), "n"), ((4, 256, -3), "k")]
+)
+def test_negative_dims_rejected(engine, dims, name):
+    before = _gemm_cost.cache_info()
+    with pytest.raises(ValueError, match=f"dim {name} "):
+        engine.gemm_execution(*dims)
+    # Rejected before the cache is consulted: nothing looked up or stored.
+    assert _gemm_cost.cache_info() == before
+
+
+def test_cache_is_keyed_on_configuration():
+    """Engines that differ only in bandwidth, or only in spec, each get
+    their own result for one shape, and a repeated (cached) call equals
+    a fresh computation."""
+    shape = (9, 700, 300)
+    engines = [
+        NDPGemmEngine(MONDE_DEVICE.ndp, BW),
+        NDPGemmEngine(MONDE_DEVICE.ndp, 2 * BW),
+        NDPGemmEngine(SPECS[1], BW),
+        NDPGemmEngine(SPECS[2], BW),
+    ]
+    results = [e.gemm_execution(*shape) for e in engines]
+    assert len({dataclasses.astuple(r) for r in results}) == len(engines)
+    for e, first in zip(engines, results):
+        fresh = _walk(e, *shape)
+        assert first == fresh
+        assert e.gemm_execution(*shape) == fresh
 
 
 def test_cold_expert_is_bandwidth_bound(engine):
