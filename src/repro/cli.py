@@ -17,6 +17,11 @@ Commands:
                      offered load; ``cosim sweep`` drives the loop
                      across a rate grid (the tail-latency hockey
                      stick) and writes a versioned JSON result.
+- ``cluster``        ``cluster sweep`` runs the same loop over a
+                     replica-count x sharding-policy x rate grid of
+                     NDP-device fleets and reports, per curve, the
+                     SLO capacity and the device count that serves
+                     the top offered load.
 - ``traffic``        Production-traffic subsystem: ``traffic list``
                      and ``traffic describe`` browse the named
                      scenario zoo (each runnable via ``--preset``),
@@ -336,184 +341,88 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled traffic subcommand {args.traffic_command!r}")
 
 
-#: Defaults for the SUPPRESS-defaulted shared cosim options (see
-#: build_parser: a real argparse default would let the `sweep`
-#: subparser silently overwrite values parsed by its parent).
-_COSIM_DEFAULTS = {
-    "scheme": "md+lb",
-    "workload": "flores",
-    "arrival": "poisson",
-    "requests": 100,
-    "seed": 1,
-    "mean_prompt_tokens": 512,
-    "mean_decode_tokens": 32,
-    "encode_us": None,
-    "decode_us": None,
-    "bytes_per_token": 2048,
-    "max_blocks": 4096,
-    "damping": 0.6,
-    "max_iters": 8,
-    "tol": 0.02,
-    "small_dram": False,
-    "synthetic_regions": False,
-    "export_trace": None,
-    "dram_workers": 0,
-    "workers": 0,
-    "engine": "fifo",
-    "max_batch": 8,
-    "prefill_budget": 4096,
-    "priority": "prefill",
-    "decode_marginal": 0.5,
-    "slo_p99_ms": None,
-}
-
-
 def _parse_rates(spec: Optional[str]) -> Optional[tuple[float, ...]]:
     if spec is None:
         return None
     return tuple(sorted(float(r) for r in spec.split(",") if r.strip()))
 
 
-def _experiment_config(args: argparse.Namespace, provided: set[str]):
+def _experiment_config(args: argparse.Namespace):
     """Resolve flags into one :class:`repro.experiments.ExperimentConfig`.
 
-    Three sources, in precedence order: a ``--config`` JSON file or
-    ``--preset`` name as the base, then any flag the user actually
-    typed (``provided`` -- captured before default-fill) layered on
-    top; with neither, the config is built from flags alone, honoring
-    the legacy ``--smoke`` mutations exactly.
+    The base is a ``--config`` JSON file, a ``--preset`` (``--smoke``
+    is ``--preset smoke``) or the default config; every shared cosim
+    option the user actually typed is layered on top.  Those options
+    default to SUPPRESS, so an option is in ``args`` only when typed.
     """
     from dataclasses import replace
 
-    from repro.experiments import (
-        CostConfig,
-        ExperimentConfig,
-        LoopConfig,
-        ReplayConfig,
-        ServingConfig,
-        get_preset,
-    )
+    from repro.experiments import ExperimentConfig, get_preset
 
+    provided = set(vars(args))
     preset = getattr(args, "preset", None)
+    if preset is None and getattr(args, "smoke", False):
+        preset = "smoke"
     config_path = getattr(args, "config", None)
     if preset and config_path:
         raise ValueError("--preset and --config are mutually exclusive")
     rates = _parse_rates(getattr(args, "rates", None))
-
-    if preset or config_path:
-        base = ExperimentConfig.load(config_path) if config_path else get_preset(preset)
-        cost, replay = base.cost, base.replay
-        serving, loop = base.serving, base.loop
-        if "workload" in provided:
-            cost = replace(cost, workload=args.workload)
-        if "encode_us" in provided or "decode_us" in provided:
-            cost = replace(cost, encode_us=args.encode_us, decode_us=args.decode_us)
-        if "small_dram" in provided:
-            replay = replace(replay, dram="small")
-        if "synthetic_regions" in provided:
-            replay = replace(replay, synthetic=True)
-        if "bytes_per_token" in provided:
-            replay = replace(replay, bytes_per_token=args.bytes_per_token)
-        if "max_blocks" in provided:
-            replay = replace(replay, max_blocks_per_request=args.max_blocks)
-        for flag, fname in (
-            ("arrival", "arrival"),
-            ("mean_prompt_tokens", "mean_prompt_tokens"),
-            ("mean_decode_tokens", "mean_decode_tokens"),
-            ("engine", "engine"),
-            ("max_batch", "max_batch"),
-            ("prefill_budget", "prefill_token_budget"),
-            ("priority", "priority"),
-            ("decode_marginal", "decode_marginal_fraction"),
-        ):
-            if flag in provided:
-                serving = replace(serving, **{fname: getattr(args, flag)})
-        for flag, fname in (
-            ("damping", "damping"),
-            ("max_iters", "max_iterations"),
-            ("tol", "p99_tolerance"),
-            ("dram_workers", "dram_workers"),
-        ):
-            if flag in provided:
-                loop = replace(loop, **{fname: getattr(args, flag)})
-        return replace(
-            base,
-            scheme=args.scheme if "scheme" in provided else base.scheme,
-            seed=args.seed if "seed" in provided else base.seed,
-            n_requests=args.requests if "requests" in provided else base.n_requests,
-            slo_p99_ms=(
-                args.slo_p99_ms if "slo_p99_ms" in provided else base.slo_p99_ms
-            ),
-            rates=rates or base.rates,
-            cost=cost,
-            replay=replay,
-            serving=serving,
-            loop=loop,
+    if config_path:
+        base = ExperimentConfig.load(config_path)
+    else:
+        base = get_preset(preset) if preset else ExperimentConfig()
+    cost, replay = base.cost, base.replay
+    serving, loop = base.serving, base.loop
+    if "workload" in provided:
+        cost = replace(cost, workload=args.workload)
+    if "encode_us" in provided or "decode_us" in provided:
+        cost = replace(
+            cost,
+            encode_us=getattr(args, "encode_us", None),
+            decode_us=getattr(args, "decode_us", None),
         )
-
-    smoke = getattr(args, "smoke", False)
-    if smoke:
-        # CI-sized closed loop: synthetic per-token costs and a small
-        # DRAM config tuned so memory saturates within ~100k DRAM
-        # requests per serving run (finishes in seconds).  Decode-heavy
-        # mix: the paper's bandwidth-bound regime, and the one where
-        # continuous batching's amortized weight streaming separates
-        # from fifo at the saturating grid point.  The saturating grid
-        # point needs ~12 bisection iterations.
-        args.encode_us = 0.002
-        args.decode_us = 0.02
-        args.small_dram = True
-        args.bytes_per_token = 8192
-        args.max_blocks = 1024
-        args.requests = min(args.requests, 60)
-        args.mean_prompt_tokens = 8
-        args.mean_decode_tokens = 24
-        args.max_iters = max(args.max_iters, 16)
-        rates = (1e5, 1e6, 4e6)
-    if rates is None:
-        rates = (0.5, 1.0, 2.0, 4.0)
-    if (args.encode_us is None) != (args.decode_us is None):
-        raise ValueError("--encode-us and --decode-us must be given together")
-    return ExperimentConfig(
-        mode="cosim",
-        scheme=args.scheme,
-        seed=args.seed,
-        n_requests=args.requests,
-        rates=rates,
-        slo_p99_ms=args.slo_p99_ms,
-        cost=CostConfig(
-            workload=args.workload,
-            encode_us=args.encode_us,
-            decode_us=args.decode_us,
+    if "small_dram" in provided:
+        replay = replace(replay, dram="small")
+    if "synthetic_regions" in provided:
+        replay = replace(replay, synthetic=True)
+    if "bytes_per_token" in provided:
+        replay = replace(replay, bytes_per_token=args.bytes_per_token)
+    if "max_blocks" in provided:
+        replay = replace(replay, max_blocks_per_request=args.max_blocks)
+    for flag, fname in (
+        ("arrival", "arrival"),
+        ("mean_prompt_tokens", "mean_prompt_tokens"),
+        ("mean_decode_tokens", "mean_decode_tokens"),
+        ("engine", "engine"),
+        ("max_batch", "max_batch"),
+        ("prefill_budget", "prefill_token_budget"),
+        ("priority", "priority"),
+        ("decode_marginal", "decode_marginal_fraction"),
+    ):
+        if flag in provided:
+            serving = replace(serving, **{fname: getattr(args, flag)})
+    for flag, fname in (
+        ("damping", "damping"),
+        ("max_iters", "max_iterations"),
+        ("tol", "p99_tolerance"),
+        ("dram_workers", "dram_workers"),
+    ):
+        if flag in provided:
+            loop = replace(loop, **{fname: getattr(args, flag)})
+    return replace(
+        base,
+        scheme=args.scheme if "scheme" in provided else base.scheme,
+        seed=args.seed if "seed" in provided else base.seed,
+        n_requests=args.requests if "requests" in provided else base.n_requests,
+        slo_p99_ms=(
+            args.slo_p99_ms if "slo_p99_ms" in provided else base.slo_p99_ms
         ),
-        replay=ReplayConfig(
-            dram="small" if args.small_dram else "lpddr5x",
-            synthetic=args.synthetic_regions,
-            bytes_per_token=args.bytes_per_token,
-            max_blocks_per_request=args.max_blocks,
-            # --smoke pins the 16-expert geometry; otherwise the
-            # planner is sized from the workload model.
-            n_experts=16 if smoke else None,
-        ),
-        serving=ServingConfig(
-            engine=args.engine,
-            arrival=args.arrival,
-            mean_prompt_tokens=args.mean_prompt_tokens,
-            mean_decode_tokens=args.mean_decode_tokens,
-            max_batch=args.max_batch,
-            prefill_token_budget=args.prefill_budget,
-            priority=args.priority,
-            decode_marginal_fraction=args.decode_marginal,
-        ),
-        loop=LoopConfig(
-            damping=args.damping,
-            max_iterations=args.max_iters,
-            p99_tolerance=args.tol,
-            dram_workers=args.dram_workers,
-        ),
+        rates=rates or base.rates,
+        cost=cost,
+        replay=replay,
+        serving=serving,
+        loop=loop,
     )
-
-
 
 
 def _print_traffic_columns(sweep) -> None:
@@ -574,73 +483,104 @@ def _cosim_export(trace, path: str) -> None:
     print(f"exported {n} DRAM requests to {path}")
 
 
+def _run_sweep(prog: str, exp, args: argparse.Namespace, report) -> int:
+    """Run a ``cosim sweep`` or ``cluster sweep`` experiment and finish
+    it: checkpoint/resume and interrupt handling, ``report(result,
+    runs)`` for the sweep-specific table and SLO lines, save, and the
+    failed / unconverged point report that sets the exit status."""
+    from repro.cosim import SWEEP_CKPT_SUFFIX, SweepInterrupted
+    from repro.experiments import run_experiment
+
+    ckpt = args.checkpoint or (args.output + SWEEP_CKPT_SUFFIX)
+    on_point = None
+    if args.interrupt_after is not None:
+        from repro.faults import interrupt_after
+
+        on_point = interrupt_after(args.interrupt_after)
+    try:
+        result, runs = run_experiment(
+            exp,
+            workers=args.workers,
+            checkpoint_path=ckpt,
+            resume=args.resume,
+            on_point=on_point,
+        )
+    except SweepInterrupted as exc:
+        print(
+            f"{prog}: interrupted ({exc}); completed points are checkpointed "
+            f"in {ckpt} -- rerun the same command with --resume to continue",
+            file=sys.stderr,
+        )
+        return 130
+    report(result, runs)
+    result.save(args.output)
+    print(f"wrote {args.output}")
+    if exp.mode == "cluster":
+        curves = [
+            (f"replicas={c.replicas} policy={c.policy} ", c.points)
+            for c in result.curves
+        ]
+    else:
+        curves = [("", result.points)]
+    code = 0
+    for label, points in curves:
+        for p in points:
+            if p.failed:
+                print(f"{prog}: {label}rate {p.rate:g} FAILED: {p.error}",
+                      file=sys.stderr)
+                code = 1
+            elif not p.converged:
+                print(
+                    f"{prog}: {label}rate {p.rate:g} did not converge within "
+                    f"{exp.loop.max_iterations} iterations (best-iterate "
+                    f"residual {p.residual_seconds_per_token * 1e9:.3f} "
+                    "ns/token)",
+                    file=sys.stderr,
+                )
+        if not points[0].converged:
+            code = 1
+    return code
+
+
 def _cmd_cosim(args: argparse.Namespace) -> int:
     from repro.cosim import CosimDriver, format_sweep
     from repro.serving.workload import RequestGenerator
 
-    provided = {key for key in _COSIM_DEFAULTS if hasattr(args, key)}
-    for key, value in _COSIM_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    export_trace = getattr(args, "export_trace", None)
     try:
-        exp = _experiment_config(args, provided)
+        exp = _experiment_config(args).replaced(mode="cosim")
 
         if args.cosim_command == "sweep":
-            from repro.cosim import SWEEP_CKPT_SUFFIX, SweepInterrupted
-            from repro.experiments import run_experiment
-
-            rates = list(exp.rates)
-            ckpt = args.checkpoint or (args.output + SWEEP_CKPT_SUFFIX)
-            on_point = None
-            if args.interrupt_after is not None:
-                from repro.faults import interrupt_after
-
-                on_point = interrupt_after(args.interrupt_after)
-            try:
-                sweep, runs = run_experiment(
-                    exp,
-                    workers=args.workers,
-                    checkpoint_path=ckpt,
-                    resume=args.resume,
-                    on_point=on_point,
+            export_rate = args.export_rate
+            if export_rate is None:
+                export_rate = exp.rates[-1]
+            elif export_rate not in exp.rates:
+                raise ValueError(
+                    f"--export-rate {export_rate} not in the grid {list(exp.rates)}"
                 )
-            except SweepInterrupted as exc:
-                print(
-                    f"repro cosim sweep: interrupted ({exc}); completed "
-                    f"points are checkpointed in {ckpt} -- rerun the same "
-                    "command with --resume to continue",
-                    file=sys.stderr,
-                )
-                return 130
-            print(format_sweep(sweep))
-            if sweep.slo_p99_seconds > 0.0:
-                source = "auto, 5x uncongested p99" if sweep.slo_auto else "--slo-p99-ms"
-                if sweep.slo_capacity_rps > 0.0:
-                    print(
-                        f"SLO capacity ({sweep.engine}): "
-                        f"{sweep.slo_capacity_rps:.3g} req/s at p99 <= "
-                        f"{sweep.slo_p99_seconds * 1e3:.3g} ms ({source})"
+
+            def report(sweep, runs) -> None:
+                print(format_sweep(sweep))
+                if sweep.slo_p99_seconds > 0.0:
+                    source = (
+                        "auto, 5x uncongested p99" if sweep.slo_auto else "--slo-p99-ms"
                     )
-                else:
-                    print(
-                        f"SLO capacity ({sweep.engine}): none -- p99 exceeds "
-                        f"{sweep.slo_p99_seconds * 1e3:.3g} ms ({source}) at "
-                        "every grid point"
-                    )
-            _print_traffic_columns(sweep)
-            sweep.save(args.output)
-            print(f"wrote {args.output}")
-            if args.export_trace is not None:
-                exported = runs[-1]
-                export_rate = rates[-1]
-                if args.export_rate is not None:
-                    by_rate = dict(zip(rates, runs))
-                    if args.export_rate not in by_rate:
-                        raise ValueError(
-                            f"--export-rate {args.export_rate} not in the grid {rates}"
+                    if sweep.slo_capacity_rps > 0.0:
+                        print(
+                            f"SLO capacity ({sweep.engine}): "
+                            f"{sweep.slo_capacity_rps:.3g} req/s at p99 <= "
+                            f"{sweep.slo_p99_seconds * 1e3:.3g} ms ({source})"
                         )
-                    exported = by_rate[args.export_rate]
-                    export_rate = args.export_rate
+                    else:
+                        print(
+                            f"SLO capacity ({sweep.engine}): none -- p99 exceeds "
+                            f"{sweep.slo_p99_seconds * 1e3:.3g} ms ({source}) at "
+                            "every grid point"
+                        )
+                _print_traffic_columns(sweep)
+                if export_trace is None:
+                    return
+                exported = dict(zip(exp.rates, runs))[export_rate]
                 if exported is None or exported.final_trace is None:
                     # Checkpoint-restored and failed points carry no
                     # live run (their trace was never rebuilt).
@@ -652,23 +592,9 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                 else:
-                    _cosim_export(exported.final_trace, args.export_trace)
-            failed = [p for p in sweep.points if p.failed]
-            for p in failed:
-                print(
-                    f"repro cosim sweep: rate {p.rate:g} FAILED: {p.error}",
-                    file=sys.stderr,
-                )
-            if not sweep.points[0].converged:
-                best = sweep.points[0].residual_seconds_per_token
-                print(
-                    "repro cosim sweep: lowest offered load failed to converge "
-                    f"within {exp.loop.max_iterations} iterations "
-                    f"(best-iterate residual {best * 1e9:.3f} ns/token)",
-                    file=sys.stderr,
-                )
-                return 1
-            return 1 if failed else 0
+                    _cosim_export(exported.final_trace, export_trace)
+
+            return _run_sweep("repro cosim sweep", exp, args, report)
 
         from repro.experiments import build_components
 
@@ -722,8 +648,8 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
             f"residual {result.residual_seconds_per_token * 1e9:.3f} ns/token",
             file=sys.stderr,
         )
-    if args.export_trace is not None and result.final_trace is not None:
-        _cosim_export(result.final_trace, args.export_trace)
+    if export_trace is not None and result.final_trace is not None:
+        _cosim_export(result.final_trace, export_trace)
     return 0 if result.converged else 1
 
 
@@ -731,14 +657,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.cluster import format_cluster_sweep
-    from repro.experiments import run_experiment
 
-    provided = {key for key in _COSIM_DEFAULTS if hasattr(args, key)}
-    for key, value in _COSIM_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    if hasattr(args, "export_trace"):
+        print(
+            "repro cluster sweep: --export-trace is not supported: a merged "
+            "multi-replica point has no single DRAM trace",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        exp = _experiment_config(args, provided)
+        exp = _experiment_config(args)
         cluster = exp.cluster
         overrides = {}
         if args.replicas is not None:
@@ -760,42 +688,33 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if overrides:
             cluster = replace(cluster, **overrides)
         exp = exp.replaced(mode="cluster", cluster=cluster)
-        result, _runs = run_experiment(exp)
+
+        def report(result, runs) -> None:
+            print(format_cluster_sweep(result))
+            if result.slo_p99_seconds <= 0.0:
+                return
+            source = "auto, 5x uncongested p99" if result.slo_auto else "--slo-p99-ms"
+            print(
+                f"SLO threshold: p99 <= {result.slo_p99_seconds * 1e3:.3g} ms "
+                f"({source})"
+            )
+            top_rate = exp.rates[-1]
+            devices = result.devices_for_load(top_rate)
+            if devices is not None:
+                print(
+                    f"devices for {top_rate:g} req/s within SLO: {devices} "
+                    f"({result.cluster.devices_per_replica} per replica)"
+                )
+            else:
+                print(
+                    f"devices for {top_rate:g} req/s within SLO: none -- no "
+                    "swept fleet size sustains it"
+                )
+
+        return _run_sweep("repro cluster sweep", exp, args, report)
     except (OSError, ValueError) as exc:
         print(f"repro cluster sweep: {exc}", file=sys.stderr)
         return 2
-
-    print(format_cluster_sweep(result))
-    if result.slo_p99_seconds > 0.0:
-        source = "auto, 5x uncongested p99" if result.slo_auto else "--slo-p99-ms"
-        print(
-            f"SLO threshold: p99 <= {result.slo_p99_seconds * 1e3:.3g} ms "
-            f"({source})"
-        )
-        top_rate = exp.rates[-1]
-        devices = result.devices_for_load(top_rate)
-        if devices is not None:
-            print(
-                f"devices for {top_rate:g} req/s within SLO: {devices} "
-                f"({result.cluster.devices_per_replica} per replica)"
-            )
-        else:
-            print(
-                f"devices for {top_rate:g} req/s within SLO: none -- no "
-                "swept fleet size sustains it"
-            )
-    result.save(args.output)
-    print(f"wrote {args.output}")
-    failed = [
-        (c, p) for c in result.curves for p in c.points if p.failed
-    ]
-    for c, p in failed:
-        print(
-            f"repro cluster sweep: replicas={c.replicas} policy={c.policy} "
-            f"rate {p.rate:g} FAILED: {p.error}",
-            file=sys.stderr,
-        )
-    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -925,10 +844,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "config instead of LPDDR5X-8533")
 
     # Shared options appear on both `cosim` and `cosim sweep`.  All
-    # defaults are SUPPRESS (applied later from _COSIM_DEFAULTS): the
-    # sweep subparser shares the namespace with its parent, so a real
-    # default here would silently overwrite a value the user passed
-    # before the `sweep` token.
+    # defaults are SUPPRESS (an option is in the namespace only when
+    # typed; the config supplies the rest): the sweep subparser shares
+    # the namespace with its parent, so a real default here would
+    # silently overwrite a value the user passed before the `sweep`
+    # token.
     supp = argparse.SUPPRESS
     cosim_common = argparse.ArgumentParser(add_help=False, argument_default=supp)
     cosim_common.add_argument("--scheme", choices=[s.value for s in Scheme])
@@ -1008,6 +928,30 @@ def build_parser() -> argparse.ArgumentParser:
                                    "JSON) as the base; explicit flags "
                                    "override individual fields")
 
+    # Options of both `sweep` subcommands (execution details, not part
+    # of the experiment config).
+    sweep_common = argparse.ArgumentParser(add_help=False)
+    sweep_common.add_argument("--rates", default=None,
+                              help="comma-separated requests/second grid "
+                                   "(default: 0.5,1.0,2.0,4.0, or the "
+                                   "preset/config grid)")
+    sweep_common.add_argument("--workers", type=int, default=0, metavar="N",
+                              help="run independent grid points over an "
+                                   "N-worker process pool (bit-identical to "
+                                   "the serial sweep; default: serial)")
+    sweep_common.add_argument("--checkpoint", default=None, metavar="PATH",
+                              help="durable per-point checkpoint file "
+                                   "(default: <output>.sweep.ckpt)")
+    sweep_common.add_argument("--resume", action="store_true",
+                              help="skip grid points already recorded in "
+                                   "the checkpoint (bit-identical to an "
+                                   "uninterrupted sweep)")
+    sweep_common.add_argument("--interrupt-after", type=int, default=None,
+                              metavar="N",
+                              help="fault injection: abort the sweep after "
+                                   "N completed points (exercises the "
+                                   "checkpoint/--resume path)")
+
     cosim = sub.add_parser(
         "cosim", parents=[cosim_common],
         help="closed-loop serving<->DRAM co-simulation",
@@ -1016,36 +960,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="offered load (requests/second)")
     cosim_sub = cosim.add_subparsers(dest="cosim_command")
     cosim_sweep = cosim_sub.add_parser(
-        "sweep", parents=[cosim_common],
+        "sweep", parents=[cosim_common, sweep_common],
         help="drive the loop across an offered-load grid",
     )
-    cosim_sweep.add_argument("--rates", default=None,
-                             help="comma-separated requests/second grid "
-                                  "(default: 0.5,1.0,2.0,4.0, or the "
-                                  "preset/config grid)")
-    cosim_sweep.add_argument("--workers", type=int, default=0, metavar="N",
-                             help="run independent rate-grid points over an "
-                                  "N-worker process pool (bit-identical to "
-                                  "the serial sweep; default: serial)")
     cosim_sweep.add_argument("--smoke", action="store_true",
-                             help="CI-sized closed-loop sweep (synthetic "
-                                  "costs, small DRAM, pinned rate grid)")
+                             help="shorthand for --preset smoke: the "
+                                  "CI-sized closed-loop sweep (synthetic "
+                                  "costs, small DRAM, 3-rate grid)")
     cosim_sweep.add_argument("--export-rate", type=float, default=None,
                              help="grid rate whose converged trace "
                                   "--export-trace writes (default: highest)")
     cosim_sweep.add_argument("--output", default="cosim_sweep.json")
-    cosim_sweep.add_argument("--checkpoint", default=None, metavar="PATH",
-                             help="durable per-point checkpoint file "
-                                  "(default: <output>.sweep.ckpt)")
-    cosim_sweep.add_argument("--resume", action="store_true",
-                             help="skip rate points already recorded in the "
-                                  "checkpoint (bit-identical to an "
-                                  "uninterrupted sweep)")
-    cosim_sweep.add_argument("--interrupt-after", type=int, default=None,
-                             metavar="N",
-                             help="fault injection: abort the sweep after N "
-                                  "completed points (exercises the "
-                                  "checkpoint/--resume path)")
 
     from repro.cluster.balancer import BALANCERS
     from repro.cluster.sharding import SHARDING_POLICIES
@@ -1056,14 +981,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
     cluster_sweep = cluster_sub.add_parser(
-        "sweep", parents=[cosim_common],
+        "sweep", parents=[cosim_common, sweep_common],
         help="replica-count x sharding-policy capacity curves "
              "(how many NDP devices serve offered load R at p99 <= X)",
     )
-    cluster_sweep.add_argument("--rates", default=None,
-                               help="comma-separated requests/second grid "
-                                    "(default: 0.5,1.0,2.0,4.0, or the "
-                                    "preset/config grid)")
     cluster_sweep.add_argument("--replicas", default=None,
                                help="comma-separated replica counts, "
                                     "ascending (default: 1,2)")

@@ -63,7 +63,6 @@ class ShardedDramBackend:
         link: Optional[PCIeLink] = None,
         activation_bytes_per_token: int = 0,
         hot_fraction: float = 0.125,
-        device_pool: Optional[DeviceDrainPool] = None,
         dram_workers: int = 0,
     ) -> None:
         if n_devices < 1:
@@ -84,12 +83,7 @@ class ShardedDramBackend:
         self.window = window
         self.link = link or PCIeLink(PCIE_GEN4_X16)
         self.activation_bytes_per_token = int(activation_bytes_per_token)
-        if device_pool is None:
-            device_pool = DeviceDrainPool(dram_workers)
-            self._owns_pool = True
-        else:
-            self._owns_pool = False
-        self._pool = device_pool
+        self._pool = DeviceDrainPool(dram_workers)
 
     # -- placement ---------------------------------------------------------
 
@@ -215,8 +209,7 @@ class ShardedDramBackend:
         return out
 
     def close(self) -> None:
-        if self._owns_pool:
-            self._pool.close()
+        self._pool.close()
 
     def __enter__(self) -> "ShardedDramBackend":
         return self

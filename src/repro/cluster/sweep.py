@@ -20,18 +20,13 @@ live on the same scale.
 from __future__ import annotations
 
 import json
-import logging
 import pathlib
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.strategies import Scheme
 from repro.serving.simulator import CostModel
-from repro.serving.workload import RequestGenerator
 from repro.util.atomic_io import atomic_write_json
 from repro.workloads.serialization import check_format_version
 
@@ -39,118 +34,9 @@ from repro.cluster.balancer import assign_replicas
 from repro.cluster.backend import ShardedDramBackend
 from repro.cluster.config import ClusterConfig
 from repro.cosim.driver import CosimConfig, CosimDriver, CosimResult
-from repro.cosim.sweep import (
-    SweepPoint,
-    _failed_point,
-    _point_from_run,
-    _traffic_columns,
-    slo_capacity,
-)
+from repro.cosim.sweep import SweepPoint, _point_from_runs, _run_grid
 
 CLUSTER_SWEEP_FORMAT_VERSION = 1
-
-logger = logging.getLogger(__name__)
-
-
-def _merged_point(
-    rate: float, runs: list[CosimResult], traffic=None
-) -> SweepPoint:
-    """Collapse one rate's per-replica closed-loop runs into a single
-    fleet-level grid point.  Latency tails are percentiles over the
-    *union* of all replicas' completed requests -- a per-replica
-    percentile-of-percentiles would understate the fleet tail."""
-
-    def union(attr: str, value):
-        samples = []
-        for run in runs:
-            for c in getattr(run, attr).completed:
-                samples.append(value(c))
-        return samples
-
-    def pct(samples, q):
-        return float(np.percentile(samples, q)) if samples else 0.0
-
-    open_lat = union("open_loop", lambda c: c.latency)
-    closed_lat = union("closed_loop", lambda c: c.latency)
-    ttft = union("closed_loop", lambda c: c.ttft)
-    qdelay = union("closed_loop", lambda c: c.queue_delay)
-    tpot = [
-        c.tpot
-        for run in runs
-        for c in run.closed_loop.completed
-        if c.request.decode_tokens > 0
-    ]
-    total_tokens = [
-        float(
-            sum(
-                c.request.prompt_tokens + c.request.decode_tokens
-                for c in run.closed_loop.completed
-            )
-        )
-        or 1.0
-        for run in runs
-    ]
-    weight = sum(total_tokens)
-
-    def token_weighted(values):
-        return sum(v * t for v, t in zip(values, total_tokens)) / weight
-
-    lasts = [run.iterations[-1] for run in runs if run.iterations]
-    return SweepPoint(
-        rate=rate,
-        open_p50=pct(open_lat, 50),
-        open_p99=pct(open_lat, 99),
-        open_max=pct(open_lat, 100),
-        closed_p50=pct(closed_lat, 50),
-        closed_p99=pct(closed_lat, 99),
-        closed_max=pct(closed_lat, 100),
-        # Replicas run concurrently; the fleet is as utilized as its
-        # average replica.
-        utilization=float(
-            np.mean([run.closed_loop.utilization for run in runs])
-        ),
-        completed=sum(run.closed_loop.n_completed for run in runs),
-        rejected=sum(run.closed_loop.rejected for run in runs),
-        n_iterations=max(run.n_iterations for run in runs),
-        converged=all(run.converged for run in runs),
-        extra_seconds_per_token=token_weighted(
-            [run.extra_seconds_per_token for run in runs]
-        ),
-        dram_queue_delay_mean=(
-            float(np.mean([it.dram_queue_delay_mean for it in lasts]))
-            if lasts
-            else 0.0
-        ),
-        dram_queue_delay_p99=(
-            max(it.dram_queue_delay_p99 for it in lasts) if lasts else 0.0
-        ),
-        dram_idle_cycles=sum(it.dram_idle_cycles for it in lasts),
-        dram_total_cycles=(
-            max(it.dram_total_cycles for it in lasts) if lasts else 0
-        ),
-        residual_seconds_per_token=max(
-            run.residual_seconds_per_token for run in runs
-        ),
-        closed_ttft_p99=pct(ttft, 99),
-        closed_queue_delay_p99=pct(qdelay, 99),
-        closed_tpot_p99=pct(tpot, 99),
-        extra_prefill_seconds_per_token=token_weighted(
-            [run.extra_prefill_seconds_per_token for run in runs]
-        ),
-        extra_decode_seconds_per_token=token_weighted(
-            [run.extra_decode_seconds_per_token for run in runs]
-        ),
-        # Tenant / flash-window tails over the same fleet-wide union of
-        # completions the plain percentiles use.
-        **_traffic_columns(
-            SimpleNamespace(
-                completed=[
-                    c for run in runs for c in run.closed_loop.completed
-                ]
-            ),
-            traffic,
-        ),
-    )
 
 
 @dataclass
@@ -271,7 +157,8 @@ class ClusterSweepResult:
 
 def format_cluster_sweep(result: ClusterSweepResult) -> str:
     """Capacity table: one row per (replicas, policy) curve, plus the
-    device-count answer at each curve's knee."""
+    device-count answer at each curve's knee and the curve's failed and
+    unconverged (completed, but not at a fixed point) point counts."""
     rows = []
     for c in result.curves:
         worst = max((p.closed_p99 for p in c.points if not p.failed), default=0.0)
@@ -283,6 +170,7 @@ def format_cluster_sweep(result: ClusterSweepResult) -> str:
                 c.slo_capacity_rps,
                 worst,
                 sum(1 for p in c.points if p.failed),
+                sum(1 for p in c.points if not (p.failed or p.converged)),
             ]
         )
     header = [
@@ -292,6 +180,7 @@ def format_cluster_sweep(result: ClusterSweepResult) -> str:
         "slo cap (req/s)",
         "worst closed p99",
         "failed pts",
+        "unconv pts",
     ]
     return format_table(header, rows)
 
@@ -309,8 +198,11 @@ def run_cluster_sweep(
     mean_decode_tokens: int = 32,
     cosim_config: Optional[CosimConfig] = None,
     slo_p99_seconds: Optional[float] = None,
-    on_point: Optional[Callable[[int, str, float, SweepPoint], None]] = None,
+    on_point: Optional[Callable[[float, SweepPoint], None]] = None,
     traffic=None,
+    workers: int = 0,
+    checkpoint_path=None,
+    resume: bool = False,
 ) -> tuple[ClusterSweepResult, dict[tuple[int, str], list[Optional[CosimResult]]]]:
     """Sweep the full replica x policy x rate grid.
 
@@ -329,120 +221,54 @@ def run_cluster_sweep(
     replica rates carry ``None`` -- their per-replica runs were merged
     into the recorded point).
 
-    An active ``traffic`` config swaps request generation to
-    :func:`repro.traffic.generate.generate_requests` (tenant mixes,
-    load shapes) and fills the per-tenant / flash-window columns on
-    every point -- the same semantics as the single-device sweep, so
-    the 1-replica anchor stays bit-identical under any scenario.
+    The grid runs through the same loop as
+    :func:`~repro.cosim.sweep.run_load_sweep`, so ``traffic``,
+    ``workers``, ``checkpoint_path``, ``resume`` and ``on_point(rate,
+    point)`` mean exactly what they mean there; the checkpoint
+    fingerprint adds the cluster config, so a resume against a
+    different fleet (or a single-device sidecar) is rejected.
     """
-    if not rates:
-        raise ValueError("rates must be non-empty")
-    if sorted(rates) != list(rates):
-        raise ValueError("rates must be sorted ascending")
     if planner is None:
         raise ValueError("cluster sweeps need a replay planner")
     cluster = cluster or ClusterConfig()
-    cfg = cosim_config or CosimConfig()
-    result = ClusterSweepResult(
-        scheme=scheme.value,
-        arrival=arrival,
-        n_requests=n_requests,
-        seed=seed,
-        cluster=cluster,
-        config={
-            "damping": cfg.damping,
-            "max_iterations": cfg.max_iterations,
-            "p99_tolerance": cfg.p99_tolerance,
-            "bytes_per_token": planner.bytes_per_token,
-            "max_blocks_per_request": planner.max_blocks_per_request,
-            "dram_channels": planner.config.organization.n_channels,
-            "encode_seconds_per_token": cost_model.encode_seconds_per_token,
-            "decode_seconds_per_token": cost_model.decode_seconds_per_token,
-            "mean_prompt_tokens": mean_prompt_tokens,
-            "mean_decode_tokens": mean_decode_tokens,
-            "engine": cfg.engine,
-            "rates": [float(r) for r in rates],
-        },
-    )
-    if traffic is not None:
-        # Scenario provenance; key absent on legacy sweeps.
-        result.config["traffic"] = traffic.to_dict()
-        result.tenant_slo_p99_ms = {
-            t.name: t.slo_p99_ms for t in traffic.tenants
-        }
-    runs_by_curve: dict[tuple[int, str], list[Optional[CosimResult]]] = {}
-    for policy in cluster.policies:
-        for n_replicas in cluster.replicas:
-            curve = ClusterCurve(replicas=n_replicas, policy=policy)
-            curve_runs: list[Optional[CosimResult]] = []
-            for rate in rates:
-                if traffic is not None:
-                    from repro.traffic.generate import generate_requests
-
-                    requests = list(
-                        generate_requests(
-                            rate,
-                            n_requests,
-                            mean_prompt_tokens=mean_prompt_tokens,
-                            mean_decode_tokens=mean_decode_tokens,
-                            seed=seed,
-                            arrival=arrival,
-                            traffic=traffic,
-                        )
-                    )
-                else:
-                    requests = list(
-                        RequestGenerator(
-                            rate,
-                            mean_prompt_tokens=mean_prompt_tokens,
-                            mean_decode_tokens=mean_decode_tokens,
-                            seed=seed,
-                            arrival=arrival,
-                        ).generate(n_requests)
-                    )
-                try:
-                    point, run = _run_cluster_point(
-                        cost_model,
-                        scheme,
-                        planner,
-                        cfg,
-                        cluster,
-                        n_replicas,
-                        policy,
-                        rate,
-                        requests,
-                        traffic,
-                    )
-                except Exception as exc:
-                    logger.warning(
-                        "cluster point replicas=%d policy=%s rate=%g failed: %s",
-                        n_replicas,
-                        policy,
-                        rate,
-                        exc,
-                    )
-                    point, run = _failed_point(rate, exc), None
-                curve.points.append(point)
-                curve_runs.append(run)
-                if on_point is not None:
-                    on_point(n_replicas, policy, rate, point)
-            result.curves.append(curve)
-            runs_by_curve[(n_replicas, policy)] = curve_runs
-
-    ok_anchor = [
-        p for p in result.curves[0].points if not p.failed
+    curves = [
+        {"replicas": n_replicas, "policy": policy}
+        for policy in cluster.policies
+        for n_replicas in cluster.replicas
     ]
-    if slo_p99_seconds is not None:
-        result.slo_p99_seconds = float(slo_p99_seconds)
-        result.slo_auto = False
-    elif ok_anchor:
-        result.slo_p99_seconds = 5.0 * ok_anchor[0].closed_p99
-        result.slo_auto = True
-    if result.slo_p99_seconds > 0:
-        for curve in result.curves:
-            ok = [p for p in curve.points if not p.failed]
-            if ok:
-                curve.slo_capacity_rps = slo_capacity(ok, result.slo_p99_seconds)
+    common, grid = _run_grid(
+        _run_cluster_point,
+        cost_model,
+        scheme,
+        planner,
+        cosim_config or CosimConfig(),
+        curves,
+        rates,
+        dict(
+            n_requests=n_requests,
+            seed=seed,
+            arrival=arrival,
+            mean_prompt_tokens=mean_prompt_tokens,
+            mean_decode_tokens=mean_decode_tokens,
+            traffic=traffic,
+        ),
+        kind="cluster_sweep",
+        workers=workers,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        on_point=on_point,
+        slo_p99_seconds=slo_p99_seconds,
+        point_args=(cluster,),
+        identity={"cluster": cluster.to_dict()},
+    )
+    common["config"]["rates"] = [float(r) for r in rates]
+    result = ClusterSweepResult(**common, cluster=cluster)
+    runs_by_curve: dict[tuple[int, str], list[Optional[CosimResult]]] = {}
+    for curve, (points, capacity, runs) in zip(curves, grid):
+        result.curves.append(
+            ClusterCurve(**curve, points=points, slo_capacity_rps=capacity)
+        )
+        runs_by_curve[(curve["replicas"], curve["policy"])] = runs
     return result, runs_by_curve
 
 
@@ -491,8 +317,7 @@ def _run_cluster_point(
             backend.close()
     if not runs:
         raise ValueError(f"no replica received requests at rate {rate}")
-    if len(runs) == 1:
-        # Single-replica curves report the run verbatim -- the
-        # bit-identity anchor against the single-device sweep.
-        return _point_from_run(rate, runs[0], traffic), runs[0]
-    return _merged_point(rate, runs, traffic), None
+    # Single-replica curves keep their live run (the bit-identity
+    # anchor against the single-device sweep); merged points have none.
+    live = runs[0] if len(runs) == 1 else None
+    return _point_from_runs(rate, runs, traffic), live

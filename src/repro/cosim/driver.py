@@ -65,8 +65,10 @@ class SingleDeviceBackend:
     measurement (controllers carry channel state across ``simulate``
     calls, and each measurement must start cold).  This class owns
     that construction -- DRAM config, scheduler window, and the shared
-    per-channel drain pool (``dram_workers`` >= 2) that outlives the
-    per-measurement controllers.
+    per-channel drain pool (a :class:`~repro.dram.parallel.
+    DeviceDrainPool`; ``dram_workers`` >= 2) that outlives the
+    per-measurement controllers, so the fixed-point loop pays worker
+    startup once.
 
     The backend protocol (duck-typed; :class:`repro.cluster.backend.
     ShardedDramBackend` is the multi-device implementation):
@@ -81,27 +83,17 @@ class SingleDeviceBackend:
     """
 
     def __init__(self, dram_config, window: int = 64, dram_workers: int = 0) -> None:
+        from repro.dram.parallel import DeviceDrainPool
+
         self.config = dram_config
         self.window = window
-        self.dram_workers = int(dram_workers)
-        self._executor = None
-
-    def _shared_executor(self):
-        if self.dram_workers < 2:
-            return None
-        if self._executor is None:
-            # One pool outlives the per-measurement controllers, so
-            # the fixed-point loop pays worker startup once.
-            from repro.dram.parallel import ParallelDrainExecutor
-
-            self._executor = ParallelDrainExecutor(self.dram_workers)
-        return self._executor
+        self._pool = DeviceDrainPool(dram_workers)
 
     def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
         """Simulate one arrival stream on a cold controller; returns
         ``(stats, per-element timings)`` in input order."""
         controller = MemoryController(
-            self.config, window=self.window, executor=self._shared_executor()
+            self.config, window=self.window, executor=self._pool.executor()
         )
         return controller.simulate_arrays(
             addrs, arrive_cycles, flags, detail=True
@@ -113,9 +105,7 @@ class SingleDeviceBackend:
         return {}
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        self._pool.close()
 
     def __enter__(self) -> "SingleDeviceBackend":
         return self

@@ -17,6 +17,9 @@ produces output bit-identical to an uninterrupted sweep -- each point
 is seeded independently, so partial progress composes exactly.  A
 point that *fails* (its cosim run raises) is isolated: it is recorded
 as a ``failed`` point with the error string and the sweep continues.
+The same grid loop (:func:`_run_grid`) runs
+:func:`repro.cluster.sweep.run_cluster_sweep`, whose grid points are
+(replicas, policy, rate) rather than rates.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import signal
 import threading
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.strategies import Scheme
@@ -255,11 +260,7 @@ def slo_capacity(points: list[SweepPoint], p99_threshold: float) -> float:
     return last_ok.rate if last_ok is not None else 0.0
 
 
-def _run_rate_point(
-    cost_model: CostModel,
-    scheme: Scheme,
-    planner,
-    cfg: CosimConfig,
+def _requests(
     rate: float,
     n_requests: int,
     seed: int,
@@ -267,30 +268,20 @@ def _run_rate_point(
     mean_prompt_tokens: int,
     mean_decode_tokens: int,
     traffic=None,
-) -> CosimResult:
-    """Run the closed loop at one offered-load point.
+):
+    """One grid point's request stream.
 
-    Module-level and built only from picklable pieces, so
-    :func:`run_load_sweep` can fan independent grid points out over a
-    process pool.  Each point builds its own generator and driver from
-    the same seed, so results are identical whether points run
-    serially, in parallel, or in any order.
-
-    With ``planner=None`` the point runs serving-only (open loop, no
-    DRAM feedback): the configured engine simulates the rate once and
-    the result is wrapped as a trivially-converged
-    :class:`CosimResult` whose open and closed loops coincide -- the
-    engine-aware successor of the old standalone serving load sweep
-    (the removed ``repro.serving.load_sweep``).
-
-    An active ``traffic`` config (tenants / load shape) swaps request
-    generation to :func:`repro.traffic.generate.generate_requests`;
-    ``traffic=None`` keeps the legacy single-tenant stream exactly.
+    Offered load is a property of the outside world, not of the fleet
+    shape: every point at ``rate`` regenerates the same seeded stream,
+    whichever sweep or curve it belongs to.  An active ``traffic``
+    config (tenants / load shape) swaps generation to
+    :func:`repro.traffic.generate.generate_requests`; ``traffic=None``
+    keeps the legacy single-tenant stream exactly.
     """
     if traffic is not None:
         from repro.traffic.generate import generate_requests
 
-        requests = generate_requests(
+        return generate_requests(
             rate,
             n_requests,
             mean_prompt_tokens=mean_prompt_tokens,
@@ -299,14 +290,33 @@ def _run_rate_point(
             arrival=arrival,
             traffic=traffic,
         )
-    else:
-        requests = RequestGenerator(
-            rate,
-            mean_prompt_tokens=mean_prompt_tokens,
-            mean_decode_tokens=mean_decode_tokens,
-            seed=seed,
-            arrival=arrival,
-        ).generate(n_requests)
+    return RequestGenerator(
+        rate,
+        mean_prompt_tokens=mean_prompt_tokens,
+        mean_decode_tokens=mean_decode_tokens,
+        seed=seed,
+        arrival=arrival,
+    ).generate(n_requests)
+
+
+def _run_rate_point(
+    cost_model: CostModel,
+    scheme: Scheme,
+    planner,
+    cfg: CosimConfig,
+    rate: float,
+    requests,
+    traffic=None,
+) -> tuple[SweepPoint, CosimResult]:
+    """Run the closed loop at one offered-load point.
+
+    With ``planner=None`` the point runs serving-only (open loop, no
+    DRAM feedback): the configured engine simulates the rate once and
+    the result is wrapped as a trivially-converged
+    :class:`CosimResult` whose open and closed loops coincide -- the
+    engine-aware successor of the old standalone serving load sweep
+    (the removed ``repro.serving.load_sweep``).
+    """
     if planner is None:
         from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
         from repro.serving.simulator import ServingSimulator
@@ -329,21 +339,24 @@ def _run_rate_point(
             serving = ServingSimulator(
                 cost_model, scheme, queue_limit=cfg.queue_limit
             ).run(requests)
-        return CosimResult(
+        run = CosimResult(
             scheme=scheme,
             converged=True,
             open_loop=serving,
             closed_loop=serving,
         )
-    driver = CosimDriver(cost_model, scheme, planner, config=cfg)
-    try:
-        return driver.run(requests)
-    finally:
-        driver.close()
+    else:
+        driver = CosimDriver(cost_model, scheme, planner, config=cfg)
+        try:
+            run = driver.run(requests)
+        finally:
+            driver.close()
+    return _point_from_runs(rate, [run], traffic), run
 
 
-def _traffic_columns(closed, traffic) -> dict:
-    """Per-tenant and flash-window latency columns for one closed run.
+def _traffic_columns(completed, traffic) -> dict:
+    """Per-tenant and flash-window latency columns over one point's
+    closed-loop completions.
 
     Empty when the sweep ran without an active traffic config (the
     legacy path), so the plain columns are untouched.  The flash
@@ -351,14 +364,12 @@ def _traffic_columns(closed, traffic) -> dict:
     same coordinates :class:`~repro.traffic.shapes.FlashCrowdShape`
     warped the arrivals into.
     """
-    import numpy as np
-
     cols: dict = {}
-    if traffic is None or not closed.completed:
+    if traffic is None or not completed:
         return cols
     if traffic.tenants:
         by_tenant: dict[str, list[float]] = {}
-        for c in closed.completed:
+        for c in completed:
             by_tenant.setdefault(c.request.tenant, []).append(c.latency)
         cols["tenant_closed_p99"] = {
             name: float(np.percentile(lats, 99))
@@ -368,16 +379,12 @@ def _traffic_columns(closed, traffic) -> dict:
             name: len(lats) for name, lats in sorted(by_tenant.items())
         }
     if traffic.shape == "flash_crowd":
-        horizon = max(c.request.arrival for c in closed.completed)
+        horizon = max(c.request.arrival for c in completed)
         lo = traffic.flash_at * horizon
         hi = (traffic.flash_at + traffic.flash_duration) * horizon
-        flash = [
-            c.latency for c in closed.completed if lo <= c.request.arrival < hi
-        ]
+        flash = [c.latency for c in completed if lo <= c.request.arrival < hi]
         steady = [
-            c.latency
-            for c in closed.completed
-            if not (lo <= c.request.arrival < hi)
+            c.latency for c in completed if not (lo <= c.request.arrival < hi)
         ]
         if flash:
             cols["closed_flash_p99"] = float(np.percentile(flash, 99))
@@ -386,35 +393,85 @@ def _traffic_columns(closed, traffic) -> dict:
     return cols
 
 
-def _point_from_run(rate: float, run: CosimResult, traffic=None) -> SweepPoint:
-    """Collapse one closed-loop run into its sweep-grid point."""
-    open_loop, closed = run.open_loop, run.closed_loop
-    last = run.iterations[-1] if run.iterations else None
+def _point_from_runs(rate: float, runs: list[CosimResult], traffic=None) -> SweepPoint:
+    """Collapse one rate's closed-loop run(s) -- one per replica --
+    into its sweep-grid point.  Latency tails are percentiles over the
+    *union* of all replicas' completed requests (a per-replica
+    percentile-of-percentiles would understate the fleet tail); a
+    single run's fields come through unchanged, so a one-replica
+    cluster point is bit-identical to the single-device sweep's."""
+
+    def union(loop: str, value) -> list:
+        return [value(c) for run in runs for c in getattr(run, loop).completed]
+
+    def pct(samples, q) -> float:
+        return float(np.percentile(samples, q)) if samples else 0.0
+
+    open_lat = union("open_loop", lambda c: c.latency)
+    closed_lat = union("closed_loop", lambda c: c.latency)
+    tpot = [
+        c.tpot
+        for run in runs
+        for c in run.closed_loop.completed
+        if c.request.decode_tokens > 0
+    ]
+    total_tokens = [
+        float(
+            sum(
+                c.request.prompt_tokens + c.request.decode_tokens
+                for c in run.closed_loop.completed
+            )
+        )
+        or 1.0
+        for run in runs
+    ]
+    weight = sum(total_tokens)
+
+    def token_weighted(attr: str) -> float:
+        if len(runs) == 1:
+            return getattr(runs[0], attr)
+        return sum(getattr(r, attr) * t for r, t in zip(runs, total_tokens)) / weight
+
+    lasts = [run.iterations[-1] for run in runs if run.iterations]
     return SweepPoint(
         rate=rate,
-        open_p50=open_loop.latency_percentile(50),
-        open_p99=open_loop.latency_percentile(99),
-        open_max=open_loop.latency_percentile(100),
-        closed_p50=closed.latency_percentile(50),
-        closed_p99=closed.latency_percentile(99),
-        closed_max=closed.latency_percentile(100),
-        utilization=closed.utilization,
-        completed=closed.n_completed,
-        rejected=closed.rejected,
-        n_iterations=run.n_iterations,
-        converged=run.converged,
-        extra_seconds_per_token=run.extra_seconds_per_token,
-        dram_queue_delay_mean=last.dram_queue_delay_mean if last else 0.0,
-        dram_queue_delay_p99=last.dram_queue_delay_p99 if last else 0.0,
-        dram_idle_cycles=last.dram_idle_cycles if last else 0,
-        dram_total_cycles=last.dram_total_cycles if last else 0,
-        residual_seconds_per_token=run.residual_seconds_per_token,
-        closed_ttft_p99=closed.ttft_percentile(99),
-        closed_queue_delay_p99=closed.queue_delay_percentile(99),
-        closed_tpot_p99=closed.tpot_percentile(99),
-        extra_prefill_seconds_per_token=run.extra_prefill_seconds_per_token,
-        extra_decode_seconds_per_token=run.extra_decode_seconds_per_token,
-        **_traffic_columns(closed, traffic),
+        open_p50=pct(open_lat, 50),
+        open_p99=pct(open_lat, 99),
+        open_max=pct(open_lat, 100),
+        closed_p50=pct(closed_lat, 50),
+        closed_p99=pct(closed_lat, 99),
+        closed_max=pct(closed_lat, 100),
+        # Replicas run concurrently; the fleet is as utilized as its
+        # average replica.
+        utilization=float(np.mean([run.closed_loop.utilization for run in runs])),
+        completed=sum(run.closed_loop.n_completed for run in runs),
+        rejected=sum(run.closed_loop.rejected for run in runs),
+        n_iterations=max(run.n_iterations for run in runs),
+        converged=all(run.converged for run in runs),
+        extra_seconds_per_token=token_weighted("extra_seconds_per_token"),
+        dram_queue_delay_mean=(
+            float(np.mean([it.dram_queue_delay_mean for it in lasts]))
+            if lasts
+            else 0.0
+        ),
+        dram_queue_delay_p99=(
+            max(it.dram_queue_delay_p99 for it in lasts) if lasts else 0.0
+        ),
+        dram_idle_cycles=sum(it.dram_idle_cycles for it in lasts),
+        dram_total_cycles=max(it.dram_total_cycles for it in lasts) if lasts else 0,
+        residual_seconds_per_token=max(
+            run.residual_seconds_per_token for run in runs
+        ),
+        closed_ttft_p99=pct(union("closed_loop", lambda c: c.ttft), 99),
+        closed_queue_delay_p99=pct(union("closed_loop", lambda c: c.queue_delay), 99),
+        closed_tpot_p99=pct(tpot, 99),
+        extra_prefill_seconds_per_token=token_weighted(
+            "extra_prefill_seconds_per_token"
+        ),
+        extra_decode_seconds_per_token=token_weighted("extra_decode_seconds_per_token"),
+        **_traffic_columns(
+            [c for run in runs for c in run.closed_loop.completed], traffic
+        ),
     )
 
 
@@ -444,24 +501,20 @@ def _failed_point(rate: float, exc: BaseException) -> SweepPoint:
     )
 
 
-def _checkpoint_header(fingerprint: dict) -> dict:
-    return {
-        "version": SWEEP_CKPT_VERSION,
-        "kind": "cosim_sweep_ckpt",
-        "fingerprint": fingerprint,
-    }
+def load_checkpoint(
+    path, fingerprint: dict, kind: str = "cosim_sweep"
+) -> dict[tuple, SweepPoint]:
+    """Read a ``*.sweep.ckpt`` sidecar; returns completed points keyed
+    by grid point (the record's key fields, ending with the rate).
 
-
-def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
-    """Read a ``*.sweep.ckpt`` sidecar; returns completed points by
-    rate.
-
-    The checkpoint's fingerprint (scheme / grid / seed / config) must
-    match this sweep's exactly -- resuming against a different
-    configuration would splice incomparable points into one document.
-    A torn final line (the crash-mid-append shape; each line is
-    fsynced *after* it is fully written, so only the tail can tear) is
-    ignored: that point simply reruns.
+    The checkpoint's ``kind`` must be this sweep's (a cluster sweep
+    never resumes from a single-device sidecar, nor the reverse), and
+    its fingerprint (scheme / grid / seed / config) must match this
+    sweep's exactly -- resuming against a different configuration
+    would splice incomparable points into one document.  A torn final
+    line (the crash-mid-append shape; each line is fsynced *after* it
+    is fully written, so only the tail can tear) is ignored: that
+    point simply reruns.
     """
     path = pathlib.Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -472,9 +525,10 @@ def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
     check_format_version(
         header.get("version"), SWEEP_CKPT_VERSION, "sweep checkpoint"
     )
-    if header.get("kind") != "cosim_sweep_ckpt":
+    if header.get("kind") != f"{kind}_ckpt":
         raise ValueError(
-            f"{path}: not a sweep checkpoint (kind={header.get('kind')!r})"
+            f"{path}: not a sweep checkpoint of this kind "
+            f"(kind={header.get('kind')!r}, expected {kind + '_ckpt'!r})"
         )
     if header.get("fingerprint") != fingerprint:
         raise ValueError(
@@ -482,14 +536,14 @@ def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
             "(different grid, seed, or config); delete the checkpoint or "
             "rerun without resume"
         )
-    done: dict[float, SweepPoint] = {}
+    done: dict[tuple, SweepPoint] = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-            point = SweepPoint(**record["point"])
-        except (ValueError, KeyError, TypeError) as exc:
+            point = SweepPoint(**record.pop("point"))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             if i == len(lines):
                 logger.warning(
                     "%s: ignoring torn final checkpoint line (%s); "
@@ -499,8 +553,260 @@ def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
                 )
                 break
             raise ValueError(f"{path}: corrupt checkpoint line {i}: {exc}") from exc
-        done[point.rate] = point
+        done[tuple(record.values())] = point
     return done
+
+
+def _grid_point(point_fn: Callable, args: tuple, stream: dict):
+    """Generate one grid point's request stream and run ``point_fn`` on
+    it.  ``args`` ends with the point's rate.  Module-level and built
+    only from picklable pieces, so a process-pool worker runs it
+    exactly as the serial loop does."""
+    return point_fn(*args, _requests(args[-1], **stream), stream["traffic"])
+
+
+def _run_grid(
+    point_fn: Callable,
+    cost_model: CostModel,
+    scheme: Scheme,
+    planner,
+    cfg: CosimConfig,
+    curves: list[dict],
+    rates: list[float],
+    stream: dict,
+    *,
+    kind: str,
+    workers: int,
+    checkpoint_path,
+    resume: bool,
+    on_point: Optional[Callable[[float, SweepPoint], None]],
+    slo_p99_seconds: Optional[float],
+    point_args: tuple = (),
+    identity: Optional[dict] = None,
+) -> tuple[dict, list[tuple[list[SweepPoint], float, list[Optional[CosimResult]]]]]:
+    """The one sweep loop: every curve in ``curves`` at every rate.
+
+    A grid point is keyed by its curve's values plus its rate
+    (``(rate,)`` for the single-device sweep's one empty curve,
+    ``(replicas, policy, rate)`` for a cluster curve).  Each point
+    regenerates its request stream from ``stream`` (the request
+    generator's keyword arguments plus ``traffic``) and calls
+    ``point_fn(cost_model, scheme, planner, cfg, *point_args,
+    *curve.values(), rate, requests, traffic)``, which returns the
+    point's :class:`SweepPoint` and its live :class:`CosimResult` (or
+    ``None``).  See :func:`run_load_sweep` for the failure isolation,
+    ``workers``, checkpoint/resume and ``on_point`` contract.  The
+    checkpoint header carries ``kind`` and a fingerprint of the
+    provenance plus ``identity`` (entries that distinguish one grid of
+    this kind from another beyond the provenance).
+
+    Returns the result fields both sweep documents share (``scheme``,
+    ``arrival``, ``n_requests``, ``seed``, ``config``, the SLO
+    threshold, ``tenant_slo_p99_ms``) and, per curve, ``(points,
+    slo_capacity_rps, runs)``.  The SLO threshold is given or
+    auto-derived as 5x the first curve's lowest-rate closed p99, and
+    every curve's capacity is read against it.
+    """
+    if not rates:
+        raise ValueError("rates must be non-empty")
+    if sorted(rates) != list(rates):
+        raise ValueError("rates must be sorted ascending")
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
+    traffic = stream["traffic"]
+    config = {
+        "damping": cfg.damping,
+        "max_iterations": cfg.max_iterations,
+        "p99_tolerance": cfg.p99_tolerance,
+        "bytes_per_token": planner.bytes_per_token if planner is not None else 0,
+        "max_blocks_per_request": (
+            planner.max_blocks_per_request if planner is not None else 0
+        ),
+        "dram_channels": (
+            planner.config.organization.n_channels if planner is not None else 0
+        ),
+        "encode_seconds_per_token": cost_model.encode_seconds_per_token,
+        "decode_seconds_per_token": cost_model.decode_seconds_per_token,
+        "mean_prompt_tokens": stream["mean_prompt_tokens"],
+        "mean_decode_tokens": stream["mean_decode_tokens"],
+        "engine": cfg.engine,
+        "serving_only": planner is None,
+    }
+    if cfg.engine == "batching":
+        config.update(
+            {
+                "max_batch": cfg.max_batch,
+                "priority": cfg.priority,
+                "prefill_token_budget": cfg.prefill_token_budget,
+                "decode_marginal_fraction": cfg.decode_marginal_fraction,
+            }
+        )
+    if traffic is not None:
+        # Scenario provenance; key absent on legacy sweeps so their
+        # checkpoint fingerprints are unchanged.
+        config["traffic"] = traffic.to_dict()
+    common = {
+        "scheme": scheme.value,
+        "arrival": stream["arrival"],
+        "n_requests": stream["n_requests"],
+        "seed": stream["seed"],
+        "config": config,
+        "tenant_slo_p99_ms": (
+            {t.name: t.slo_p99_ms for t in traffic.tenants}
+            if traffic is not None
+            else {}
+        ),
+    }
+    fingerprint = {
+        "scheme": common["scheme"],
+        "arrival": common["arrival"],
+        "n_requests": common["n_requests"],
+        "seed": common["seed"],
+        "rates": [float(r) for r in rates],
+        "config": config,
+        **(identity or {}),
+    }
+    names = (*curves[0], "rate")
+    keys = [(*curve.values(), rate) for curve in curves for rate in rates]
+    done: dict[tuple, SweepPoint] = {}
+    if checkpoint_path is not None:
+        checkpoint_path = pathlib.Path(checkpoint_path)
+        if resume and checkpoint_path.exists():
+            done = load_checkpoint(checkpoint_path, fingerprint, kind)
+            if done:
+                logger.info(
+                    "%s: resuming sweep; %d of %d point(s) already complete",
+                    checkpoint_path,
+                    len(done),
+                    len(keys),
+                )
+    todo = [key for key in keys if key not in done]
+    runs: dict[tuple, CosimResult] = {}
+    use_pool = workers >= 2 and len(todo) >= 2
+    if use_pool:
+        # Pool workers are daemonic and cannot spawn the nested DRAM
+        # drain pool.
+        cfg = dataclasses.replace(cfg, dram_workers=0)
+    head = (cost_model, scheme, planner, cfg, *point_args)
+
+    ckpt_fh = None
+    if checkpoint_path is not None:
+        # Append when resuming onto an existing compatible checkpoint;
+        # otherwise start it fresh with a fingerprinted header line.
+        if done:
+            ckpt_fh = open(checkpoint_path, "ab")
+        else:
+            ckpt_fh = open(checkpoint_path, "wb")
+            header = {
+                "version": SWEEP_CKPT_VERSION,
+                "kind": f"{kind}_ckpt",
+                "fingerprint": fingerprint,
+            }
+            durable_append(ckpt_fh, (json.dumps(header) + "\n").encode())
+
+    def record(key: tuple, outcome) -> None:
+        if isinstance(outcome, BaseException):
+            logger.warning(
+                "sweep point %s failed: %s",
+                " ".join(f"{n}={v}" for n, v in zip(names, key)),
+                outcome,
+            )
+            point = _failed_point(key[-1], outcome)
+        else:
+            point, run = outcome
+            if run is not None:
+                runs[key] = run
+        done[key] = point
+        if ckpt_fh is not None:
+            line = {**dict(zip(names, key)), "point": asdict(point)}
+            durable_append(ckpt_fh, (json.dumps(line) + "\n").encode())
+        if on_point is not None:
+            on_point(key[-1], point)
+
+    # SIGINT/SIGTERM land as SweepInterrupted between points (the
+    # durable append for the in-flight point either fully happened or
+    # the point reruns on resume).  Handlers only exist for the
+    # duration of the loop, and only on the main thread -- signal
+    # installation is illegal elsewhere.
+    installed = []
+    if checkpoint_path is not None and (
+        threading.current_thread() is threading.main_thread()
+    ):
+
+        def _interrupt(signum, frame):
+            raise SweepInterrupted(f"received signal {signum}")
+
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                installed.append((sig, signal.signal(sig, _interrupt)))
+            except (ValueError, OSError):  # pragma: no cover - exotic host
+                pass
+    try:
+        if use_pool:
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
+            pool = ctx.Pool(min(workers, len(todo)))
+            try:
+                pending = {
+                    key: pool.apply_async(
+                        _grid_point, (point_fn, (*head, *key), stream)
+                    )
+                    for key in todo
+                }
+                # Checkpoint in completion order (resume assembles the
+                # grid order from the keys, so order on disk is
+                # irrelevant); a failed point is recorded and skipped.
+                while pending:
+                    next(iter(pending.values())).wait(0.05)
+                    for key in [k for k, ar in pending.items() if ar.ready()]:
+                        try:
+                            outcome = pending.pop(key).get(0)
+                        except SweepInterrupted:
+                            raise
+                        except Exception as exc:
+                            outcome = exc
+                        record(key, outcome)
+            finally:
+                pool.terminate()
+                pool.join()
+        else:
+            for key in todo:
+                try:
+                    outcome = _grid_point(point_fn, (*head, *key), stream)
+                except SweepInterrupted:
+                    raise
+                except Exception as exc:
+                    outcome = exc
+                record(key, outcome)
+    finally:
+        for sig, previous in installed:
+            signal.signal(sig, previous)
+        if ckpt_fh is not None:
+            ckpt_fh.close()
+
+    n = len(rates)
+    per_curve = [keys[i : i + n] for i in range(0, len(keys), n)]
+    anchor = [done[key] for key in per_curve[0] if not done[key].failed]
+    threshold, auto = 0.0, True
+    if slo_p99_seconds is not None:
+        threshold, auto = float(slo_p99_seconds), False
+    elif anchor:
+        # "How far can load grow before the tail is 5x the uncongested
+        # tail" -- anchor on the first curve's lowest-rate point.
+        threshold = 5.0 * anchor[0].closed_p99
+    common.update(slo_p99_seconds=threshold, slo_auto=auto)
+    out = []
+    for curve_keys in per_curve:
+        points = [done[key] for key in curve_keys]
+        ok = [p for p in points if not p.failed]
+        capacity = slo_capacity(ok, threshold) if ok and threshold > 0 else 0.0
+        out.append((points, capacity, [runs.get(key) for key in curve_keys]))
+    if checkpoint_path is not None:
+        # The grid is complete; the sidecar has served its purpose.
+        checkpoint_path.unlink(missing_ok=True)
+    return common, out
 
 
 def run_load_sweep(
@@ -571,196 +877,31 @@ def run_load_sweep(
     against a different scenario is rejected).  ``None`` keeps the
     legacy single-tenant path bit-identical.
     """
-    if not rates:
-        raise ValueError("rates must be non-empty")
-    if sorted(rates) != list(rates):
-        raise ValueError("rates must be sorted ascending")
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
     cfg = cosim_config or CosimConfig()
-    sweep = SweepResult(
-        scheme=scheme.value,
-        arrival=arrival,
-        n_requests=n_requests,
-        seed=seed,
-        config={
-            "damping": cfg.damping,
-            "max_iterations": cfg.max_iterations,
-            "p99_tolerance": cfg.p99_tolerance,
-            "bytes_per_token": planner.bytes_per_token if planner is not None else 0,
-            "max_blocks_per_request": (
-                planner.max_blocks_per_request if planner is not None else 0
-            ),
-            "dram_channels": (
-                planner.config.organization.n_channels if planner is not None else 0
-            ),
-            "encode_seconds_per_token": cost_model.encode_seconds_per_token,
-            "decode_seconds_per_token": cost_model.decode_seconds_per_token,
-            "mean_prompt_tokens": mean_prompt_tokens,
-            "mean_decode_tokens": mean_decode_tokens,
-            "engine": cfg.engine,
-            "serving_only": planner is None,
-        },
-        engine=cfg.engine,
+    common, [(points, capacity, runs)] = _run_grid(
+        _run_rate_point,
+        cost_model,
+        scheme,
+        planner,
+        cfg,
+        [{}],
+        rates,
+        dict(
+            n_requests=n_requests,
+            seed=seed,
+            arrival=arrival,
+            mean_prompt_tokens=mean_prompt_tokens,
+            mean_decode_tokens=mean_decode_tokens,
+            traffic=traffic,
+        ),
+        kind="cosim_sweep",
+        workers=workers,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        on_point=on_point,
+        slo_p99_seconds=slo_p99_seconds,
     )
-    if cfg.engine == "batching":
-        sweep.config.update(
-            {
-                "max_batch": cfg.max_batch,
-                "priority": cfg.priority,
-                "prefill_token_budget": cfg.prefill_token_budget,
-                "decode_marginal_fraction": cfg.decode_marginal_fraction,
-            }
-        )
-    if traffic is not None:
-        # Scenario provenance; key absent on legacy sweeps so their
-        # checkpoint fingerprints are unchanged.
-        sweep.config["traffic"] = traffic.to_dict()
-        sweep.tenant_slo_p99_ms = {t.name: t.slo_p99_ms for t in traffic.tenants}
-    fingerprint = {
-        "scheme": sweep.scheme,
-        "arrival": arrival,
-        "n_requests": n_requests,
-        "seed": seed,
-        "rates": [float(r) for r in rates],
-        "config": sweep.config,
-    }
-    done: dict[float, SweepPoint] = {}
-    if checkpoint_path is not None:
-        checkpoint_path = pathlib.Path(checkpoint_path)
-        if resume and checkpoint_path.exists():
-            done = load_checkpoint(checkpoint_path, fingerprint)
-            if done:
-                logger.info(
-                    "%s: resuming sweep; %d of %d point(s) already complete",
-                    checkpoint_path,
-                    len(done),
-                    len(rates),
-                )
-    todo = [rate for rate in rates if rate not in done]
-    runs_by_rate: dict[float, CosimResult] = {}
-    use_pool = workers >= 2 and len(todo) >= 2
-    point_args = {
-        rate: (
-            cost_model,
-            scheme,
-            planner,
-            dataclasses.replace(cfg, dram_workers=0) if use_pool else cfg,
-            rate,
-            n_requests,
-            seed,
-            arrival,
-            mean_prompt_tokens,
-            mean_decode_tokens,
-            traffic,
-        )
-        for rate in todo
-    }
-
-    ckpt_fh = None
-    if checkpoint_path is not None:
-        # Append when resuming onto an existing compatible checkpoint;
-        # otherwise start it fresh with a fingerprinted header line.
-        if done:
-            ckpt_fh = open(checkpoint_path, "ab")
-        else:
-            ckpt_fh = open(checkpoint_path, "wb")
-            durable_append(
-                ckpt_fh,
-                (json.dumps(_checkpoint_header(fingerprint)) + "\n").encode(),
-            )
-
-    def record(rate: float, point: SweepPoint, run: Optional[CosimResult]) -> None:
-        done[rate] = point
-        if run is not None:
-            runs_by_rate[rate] = run
-        if ckpt_fh is not None:
-            durable_append(
-                ckpt_fh,
-                (json.dumps({"rate": rate, "point": asdict(point)}) + "\n").encode(),
-            )
-        if on_point is not None:
-            on_point(rate, point)
-
-    # SIGINT/SIGTERM land as SweepInterrupted between points (the
-    # durable append for the in-flight point either fully happened or
-    # the point reruns on resume).  Handlers only exist for the
-    # duration of the loop, and only on the main thread -- signal
-    # installation is illegal elsewhere.
-    installed = []
-    if checkpoint_path is not None and (
-        threading.current_thread() is threading.main_thread()
-    ):
-
-        def _interrupt(signum, frame):
-            raise SweepInterrupted(f"received signal {signum}")
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed.append((sig, signal.signal(sig, _interrupt)))
-            except (ValueError, OSError):  # pragma: no cover - exotic host
-                pass
-    try:
-        if use_pool:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            pool = ctx.Pool(min(workers, len(todo)))
-            try:
-                pending = {
-                    rate: pool.apply_async(_run_rate_point, point_args[rate])
-                    for rate in todo
-                }
-                # Checkpoint in completion order (resume assembles the
-                # grid order from the rate keys, so order on disk is
-                # irrelevant); a failed point is recorded and skipped.
-                while pending:
-                    next(iter(pending.values())).wait(0.05)
-                    for rate in [r for r, ar in pending.items() if ar.ready()]:
-                        ar = pending.pop(rate)
-                        try:
-                            run = ar.get(0)
-                        except Exception as exc:
-                            logger.warning(
-                                "sweep point rate=%g failed: %s", rate, exc
-                            )
-                            record(rate, _failed_point(rate, exc), None)
-                        else:
-                            record(rate, _point_from_run(rate, run, traffic), run)
-            finally:
-                pool.terminate()
-                pool.join()
-        else:
-            for rate in todo:
-                try:
-                    run = _run_rate_point(*point_args[rate])
-                except SweepInterrupted:
-                    raise
-                except Exception as exc:
-                    logger.warning("sweep point rate=%g failed: %s", rate, exc)
-                    record(rate, _failed_point(rate, exc), None)
-                else:
-                    record(rate, _point_from_run(rate, run, traffic), run)
-    finally:
-        for sig, previous in installed:
-            signal.signal(sig, previous)
-        if ckpt_fh is not None:
-            ckpt_fh.close()
-
-    sweep.points.extend(done[rate] for rate in rates)
-    ok_points = [p for p in sweep.points if not p.failed]
-    if ok_points:
-        if slo_p99_seconds is not None:
-            sweep.slo_p99_seconds = float(slo_p99_seconds)
-            sweep.slo_auto = False
-        else:
-            # "How far can load grow before the tail is 5x the
-            # uncongested tail" -- anchor on the lowest-rate point.
-            sweep.slo_p99_seconds = 5.0 * ok_points[0].closed_p99
-            sweep.slo_auto = True
-        sweep.slo_capacity_rps = slo_capacity(ok_points, sweep.slo_p99_seconds)
-    if checkpoint_path is not None:
-        # The grid is complete; the sidecar has served its purpose.
-        checkpoint_path.unlink(missing_ok=True)
-    return sweep, [runs_by_rate.get(rate) for rate in rates]
+    sweep = SweepResult(
+        **common, points=points, engine=cfg.engine, slo_capacity_rps=capacity
+    )
+    return sweep, runs

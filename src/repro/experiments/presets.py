@@ -5,8 +5,8 @@ recipe every time, whether reached via ``--preset smoke`` on the CLI,
 ``get_preset("smoke")`` in a script, or a saved JSON config that
 started life as one.
 
-- ``smoke`` -- the CI-sized closed loop (the exact knobs the legacy
-  ``repro cosim sweep --smoke`` flag pins): synthetic per-token costs
+- ``smoke`` -- the CI-sized closed loop (``repro cosim sweep
+  --smoke`` is shorthand for it): synthetic per-token costs
   and a small DRAM config tuned so memory saturates within ~100k DRAM
   requests per serving run, decode-heavy token mix, 16-expert replay
   geometry, three-point rate grid ending past saturation.

@@ -120,35 +120,12 @@ def run_experiment(
     plus per-rate runs in cosim mode, a
     :class:`~repro.cluster.sweep.ClusterSweepResult` plus a
     ``(replicas, policy) -> runs`` dict in cluster mode.  ``workers``,
-    ``checkpoint_path``, and ``resume`` are execution details (not part
-    of the experiment's identity, so not config fields) and apply to
-    cosim mode only.
+    ``checkpoint_path``, ``resume`` and ``on_point`` are execution
+    details (not part of the experiment's identity, so not config
+    fields); both sweeps take them with the same meaning.
     """
     cost, scheme, planner, cosim_cfg = build_components(config)
-    slo = config.slo_p99_ms * 1e-3 if config.slo_p99_ms is not None else None
-    traffic = config.traffic if config.traffic.active else None
-    if config.mode == "cluster":
-        return run_cluster_sweep(
-            cost,
-            scheme,
-            planner,
-            list(config.rates),
-            cluster=config.cluster,
-            n_requests=config.n_requests,
-            seed=config.seed,
-            arrival=config.serving.arrival,
-            mean_prompt_tokens=config.serving.mean_prompt_tokens,
-            mean_decode_tokens=config.serving.mean_decode_tokens,
-            cosim_config=cosim_cfg,
-            slo_p99_seconds=slo,
-            on_point=on_point,
-            traffic=traffic,
-        )
-    return run_load_sweep(
-        cost,
-        scheme,
-        planner,
-        list(config.rates),
+    kwargs = dict(
         n_requests=config.n_requests,
         seed=config.seed,
         arrival=config.serving.arrival,
@@ -159,6 +136,14 @@ def run_experiment(
         checkpoint_path=checkpoint_path,
         resume=resume,
         on_point=on_point,
-        slo_p99_seconds=slo,
-        traffic=traffic,
+        slo_p99_seconds=(
+            config.slo_p99_ms * 1e-3 if config.slo_p99_ms is not None else None
+        ),
+        traffic=config.traffic if config.traffic.active else None,
     )
+    rates = list(config.rates)
+    if config.mode == "cluster":
+        return run_cluster_sweep(
+            cost, scheme, planner, rates, cluster=config.cluster, **kwargs
+        )
+    return run_load_sweep(cost, scheme, planner, rates, **kwargs)

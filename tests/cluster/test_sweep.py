@@ -15,9 +15,12 @@ from repro.core.strategies import Scheme
 from repro.cosim import (
     CosimConfig,
     ExpertReplayPlanner,
+    SweepInterrupted,
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.experiments.config import TenantConfig, TrafficConfig
+from repro.faults import interrupt_after
 from repro.serving.simulator import CostModel
 
 RATES = [2e4, 1e6, 4e6]
@@ -42,26 +45,59 @@ def planner():
     )
 
 
+CLUSTER = ClusterConfig(
+    replicas=(1, 2),
+    devices_per_replica=1,
+    policies=("replicated",),
+    balancer="round_robin",
+    activation_bytes_per_token=0,
+)
+
+
+def run_cluster(cost, planner, **overrides):
+    return run_cluster_sweep(
+        cost, Scheme.MD_LB, planner, RATES, cluster=CLUSTER,
+        **dict(SWEEP_KWARGS, **overrides),
+    )
+
+
 @pytest.fixture(scope="module")
 def cluster_sweep(cost, planner):
-    cluster = ClusterConfig(
-        replicas=(1, 2),
-        devices_per_replica=1,
-        policies=("replicated",),
-        balancer="round_robin",
-        activation_bytes_per_token=0,
-    )
-    return run_cluster_sweep(
-        cost, Scheme.MD_LB, planner, RATES, cluster=cluster, **SWEEP_KWARGS
-    )
+    return run_cluster(cost, planner)
 
 
-def test_single_replica_bit_identical_to_cosim_sweep(cost, planner, cluster_sweep):
+TWO_TENANTS = TrafficConfig(
+    tenants=(
+        TenantConfig(name="chat", share=0.6, mean_prompt_tokens=8,
+                     mean_decode_tokens=10, slo_p99_ms=1.0),
+        TenantConfig(name="batch", share=0.4, mean_prompt_tokens=30,
+                     mean_decode_tokens=2),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    ("engine", "traffic"),
+    [("fifo", None), ("fifo", TWO_TENANTS),
+     ("batching", None), ("batching", TWO_TENANTS)],
+    ids=["fifo-legacy", "fifo-tenants", "batching-legacy", "batching-tenants"],
+)
+def test_single_replica_bit_identical_to_cosim_sweep(cost, planner, engine, traffic):
     """The pinned equivalence anchor: one replica, replicated sharding,
     one device, zero activation bytes reproduces the single-device
-    sweep bit for bit -- same SweepPoint dataclasses, field by field."""
-    single, _ = run_load_sweep(cost, Scheme.MD_LB, planner, RATES, **SWEEP_KWARGS)
-    result, _ = cluster_sweep
+    sweep bit for bit -- same SweepPoint dataclasses, field by field --
+    under either engine, with or without a tenant mix."""
+    kwargs = dict(
+        SWEEP_KWARGS,
+        cosim_config=CosimConfig(max_iterations=16, engine=engine),
+        traffic=traffic,
+    )
+    single, _ = run_load_sweep(cost, Scheme.MD_LB, planner, RATES, **kwargs)
+    result, _ = run_cluster_sweep(
+        cost, Scheme.MD_LB, planner, RATES,
+        cluster=ClusterConfig(replicas=(1,), policies=("replicated",)),
+        **kwargs,
+    )
     anchor = result.curve(1, "replicated")
     assert anchor.points == single.points
 
@@ -138,3 +174,89 @@ def test_validation(cost, planner):
         run_cluster_sweep(cost, Scheme.MD_LB, planner, [2.0, 1.0])
     with pytest.raises(ValueError, match="planner"):
         run_cluster_sweep(cost, Scheme.MD_LB, None, [1.0])
+
+
+def test_interrupted_cluster_sweep_resumes_identically(
+    cost, planner, cluster_sweep, tmp_path
+):
+    """The cluster grid rides the same checkpoint/resume path as the
+    single-device sweep: an interrupted run leaves its sidecar, and
+    resuming reproduces the uninterrupted document exactly."""
+    ckpt = tmp_path / "cluster.sweep.ckpt"
+    with pytest.raises(SweepInterrupted):
+        run_cluster(cost, planner, checkpoint_path=ckpt, on_point=interrupt_after(1))
+    assert ckpt.exists()
+    resumed, _ = run_cluster(cost, planner, checkpoint_path=ckpt, resume=True)
+    baseline, _ = cluster_sweep
+    assert json.dumps(resumed.to_dict()) == json.dumps(baseline.to_dict())
+    assert not ckpt.exists()
+
+
+def test_cosim_sidecar_rejected_by_cluster_sweep(cost, planner, tmp_path):
+    ckpt = tmp_path / "sweep.ckpt"
+    with pytest.raises(SweepInterrupted):
+        run_load_sweep(
+            cost, Scheme.MD_LB, planner, RATES, checkpoint_path=ckpt,
+            on_point=interrupt_after(1), **SWEEP_KWARGS,
+        )
+    with pytest.raises(ValueError, match="not a sweep checkpoint"):
+        run_cluster(cost, planner, checkpoint_path=ckpt, resume=True)
+
+
+def test_pooled_cluster_sweep_matches_serial(cost, planner, cluster_sweep):
+    pooled, _ = run_cluster(cost, planner, workers=2)
+    baseline, _ = cluster_sweep
+    assert json.dumps(pooled.to_dict()) == json.dumps(baseline.to_dict())
+
+
+def test_run_experiment_forwards_on_point_in_cluster_mode():
+    from repro.experiments import get_preset, run_experiment
+
+    config = get_preset("cluster_smoke").replaced(
+        rates=(2e4, 1e6), n_requests=20,
+        cluster=ClusterConfig(replicas=(1,), policies=("replicated",)),
+    )
+    with pytest.raises(SweepInterrupted):
+        run_experiment(config, on_point=interrupt_after(1))
+
+
+def test_batching_cluster_config_records_batching_knobs(cost, planner):
+    result, _ = run_cluster_sweep(
+        cost, Scheme.MD_LB, planner, [2e4],
+        cluster=ClusterConfig(replicas=(1,), policies=("replicated",)),
+        n_requests=20,
+        cosim_config=CosimConfig(engine="batching", max_batch=4),
+    )
+    config = result.config
+    assert config["engine"] == "batching"
+    assert config["max_batch"] == 4
+    for knob in ("priority", "prefill_token_budget", "decode_marginal_fraction"):
+        assert knob in config
+    assert config["rates"] == [2e4]
+
+
+def test_single_run_surcharges_pass_through_unweighted(cluster_sweep):
+    """Token-weighting one run's surcharge (v * t / t) can round away
+    from v, so a single run must report its own values exactly -- the
+    1-replica anchor depends on it."""
+    from dataclasses import replace
+
+    from repro.cosim.sweep import _point_from_runs
+
+    _, runs = cluster_sweep
+    run = runs[(1, "replicated")][0]
+    tokens = float(sum(
+        c.request.prompt_tokens + c.request.decode_tokens
+        for c in run.closed_loop.completed
+    ))
+    v = next(
+        0.1 * k for k in range(1, 1000) if 0.1 * k * tokens / tokens != 0.1 * k
+    )
+    point = _point_from_runs(
+        RATES[0],
+        [replace(run, extra_seconds_per_token=v, extra_prefill_seconds_per_token=v,
+                 extra_decode_seconds_per_token=v)],
+    )
+    assert point.extra_seconds_per_token == v
+    assert point.extra_prefill_seconds_per_token == v
+    assert point.extra_decode_seconds_per_token == v

@@ -135,3 +135,51 @@ def test_cluster_sweep_from_config_file(capsys, tmp_path):
     loaded = ClusterSweepResult.load(output)
     assert [c.replicas for c in loaded.curves] == [1, 2]
     assert all(len(c.points) == 2 for c in loaded.curves)
+
+
+def test_cluster_sweep_rejects_export_trace(capsys, tmp_path):
+    """A merged multi-replica point has no single DRAM trace, so the
+    flag is refused up front instead of being silently ignored."""
+    trace = tmp_path / "cluster.dramtrace"
+    code = main([
+        "cluster", "sweep", "--preset", "cluster_smoke",
+        "--export-trace", str(trace), "--output", str(tmp_path / "c.json"),
+    ])
+    assert code == 2
+    assert "--export-trace" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+def _small_cluster_config(tmp_path):
+    from repro.experiments import get_preset
+
+    config = tmp_path / "cluster.json"
+    get_preset("cluster_smoke").replaced(rates=(2e4, 1e6), n_requests=30).save(config)
+    return str(config)
+
+
+def test_cluster_sweep_reports_unconverged_points(capsys, tmp_path):
+    """One iteration cannot reach a fixed point: each such point gets a
+    stderr line, the table counts them, and a curve whose lowest rate
+    did not converge fails the run."""
+    code = main([
+        "cluster", "sweep", "--config", _small_cluster_config(tmp_path),
+        "--replicas", "1", "--policies", "replicated", "--max-iters", "1",
+        "--output", str(tmp_path / "c.json"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unconv pts" in captured.out
+    assert captured.err.count("did not converge") == 2
+
+
+def test_cosim_sweep_of_cluster_config_runs_single_device(capsys, tmp_path):
+    from repro.cosim import SweepResult
+
+    output = tmp_path / "sweep.json"
+    code = main([
+        "cosim", "sweep", "--config", _small_cluster_config(tmp_path),
+        "--output", str(output),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert [p.rate for p in SweepResult.load(output).points] == [2e4, 1e6]
