@@ -19,6 +19,10 @@ Timed implementations per pattern:
 - ``arrays`` -- *end-to-end* array-native path: (for ``--trace-file``)
   mmap-loading the columns **plus** ``simulate_arrays()``; in-memory
   columns feed the scheduler directly, so ingestion is free.
+- ``generator`` -- the ``arrays`` run with every channel drained by
+  the Python generator instead of the compiled kernel
+  (:mod:`repro.dram.ckernel`); recorded only when the kernel is
+  loaded, with ``kernel_speedup`` = arrays req/s over generator req/s.
 - ``parallel`` (``--workers N``, N >= 2) -- the array path with
   per-channel drains fanned out over the worker pool
   (:mod:`repro.dram.parallel`); pool startup is included in the timed
@@ -31,8 +35,9 @@ Timed implementations per pattern:
 object-layer overhead the array-native front door removes;
 ``parallel_speedup`` is parallel req/s over arrays req/s.  Every
 same-length pair is also checked for bit-identical stats
-(``parallel_identical`` / ``streaming_identical`` alongside the
-existing checks; ``repro bench`` exits nonzero on any mismatch).
+(``generator_identical`` / ``parallel_identical`` /
+``streaming_identical`` alongside the existing checks; ``repro bench``
+exits nonzero on any mismatch).
 
 The committed baseline lives at ``benchmarks/perf/BENCH_controller.json``;
 see ``benchmarks/perf/README.md`` for how to read and refresh it, and
@@ -47,6 +52,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+from repro.dram import ckernel
 from repro.dram.config import DRAMConfig, LPDDR5X_8533
 from repro.dram.controller import ControllerStats, MemoryController
 from repro.dram.reference import ReferenceMemoryController
@@ -130,6 +136,19 @@ def _make_columns(
     )
 
 
+def _warm_up(config: DRAMConfig, columns, controller_kwargs: dict) -> None:
+    """Pay one-time process costs before any timed region: building or
+    loading the C drain kernel, lazy imports and first-call set-up in
+    both the Request-list and array paths.  A short untimed prefix of
+    the first trace is enough."""
+    ckernel.load()
+    addrs, arrive, flags = (c[:256] for c in columns)
+    MemoryController(config, **controller_kwargs).simulate(
+        requests_from_arrays(addrs, arrive, flags)
+    )
+    MemoryController(config, **controller_kwargs).simulate_arrays(addrs, arrive, flags)
+
+
 def _bench_entry(
     pattern: str,
     config: DRAMConfig,
@@ -202,6 +221,24 @@ def _bench_entry(
         else float("inf")
     )
     entry["array_path_identical"] = asdict(arrays_stats) == asdict(objects_stats)
+
+    if ckernel.load() is not None:
+        # The same array run with the Python generator draining.
+        controller = MemoryController(config, **controller_kwargs)
+        with ckernel.python_drain():
+            start = time.perf_counter()
+            generator_stats = controller.simulate_arrays(addrs, arrive, flags)
+            end = time.perf_counter()
+        generator_run = _make_run(
+            pattern, "generator", n_requests, end - start, 0.0, generator_stats
+        )
+        entry["generator"] = asdict(generator_run)
+        entry["kernel_speedup"] = (
+            arrays_run.requests_per_second / generator_run.requests_per_second
+            if generator_run.requests_per_second
+            else float("inf")
+        )
+        entry["generator_identical"] = asdict(generator_stats) == asdict(arrays_stats)
 
     if workers is not None and workers >= 2:
         # Parallel per-channel draining: same array path, drains
@@ -312,6 +349,8 @@ def bench_controller(
         columns = _make_columns(
             pattern, n_requests, config, seed, arrival, arrival_gap
         )
+        if not results:
+            _warm_up(config, columns, controller_kwargs)
         ref_columns = None
         if include_reference:
             ref_columns = (
@@ -372,6 +411,7 @@ def bench_trace_file(
         raise ValueError(f"{path}: empty trace")
     pattern = path.stem
     columns = (trace.addrs, trace.arrive_cycles, trace.flags)
+    _warm_up(config, columns, controller_kwargs)
     ref_columns = None
     ref_n = reference_requests if reference_requests is not None else n_requests
     if include_reference:
@@ -416,7 +456,10 @@ def format_bench(payload: dict) -> str:
 
     rows = []
     for pattern, entry in payload["patterns"].items():
-        impls = ("arrays", "parallel", "streaming", "objects", "indexed", "reference")
+        impls = (
+            "arrays", "generator", "parallel", "streaming", "objects", "indexed",
+            "reference",
+        )  # fmt: skip
         for impl in impls:
             run = entry.get(impl)
             if run is None:
@@ -448,6 +491,18 @@ def format_bench(payload: dict) -> str:
                 "",
             ]
         )
+        if "kernel_speedup" in entry:
+            rows.append(
+                [
+                    pattern,
+                    "-> arrays vs generator",
+                    "",
+                    "",
+                    f"{entry['kernel_speedup']:.2f}x",
+                    "",
+                    "",
+                ]
+            )
         if "parallel_speedup" in entry:
             rows.append(
                 [
@@ -472,6 +527,7 @@ def all_identity_checks_pass(payload: dict) -> bool:
     for entry in payload["patterns"].values():
         for key in (
             "array_path_identical",
+            "generator_identical",
             "stats_identical",
             "parallel_identical",
             "streaming_identical",

@@ -36,6 +36,12 @@ original windowed-list form it is kept bit-identical to):
 Address decoding is vectorized over the whole trace with
 :meth:`~repro.dram.address.AddressMapper.decode_batch`.
 
+Each channel drains through one seam, :meth:`MemoryController._drain_channel`:
+it runs the compiled C form of this loop (:mod:`repro.dram.ckernel`)
+when one is loaded and the Python generator
+:meth:`MemoryController._drain_channel_gen` otherwise.  Both are
+bit-identical; the generator also serves bounded-window streaming.
+
 Arrivals are honored end-to-end: per-channel queues are ordered by
 ``Request.arrive_cycle`` (stable, so all-at-cycle-0 batch traces keep
 input order and bit-identical schedules), requests only become
@@ -65,6 +71,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.dram import ckernel
 from repro.dram.address import AddressMapper, MappingScheme
 from repro.dram.channel import Channel
 from repro.dram.config import DRAMConfig
@@ -154,6 +161,33 @@ class RequestTimings:
 _ACT, _PRE, _COL = 0, 1, 2
 
 
+def _check_conservation(
+    arrive: np.ndarray,
+    first: np.ndarray,
+    complete: np.ndarray,
+    hit: np.ndarray,
+    bounds: np.ndarray,
+) -> None:
+    """Post-conditions every drain must satisfy, on sorted-order
+    arrays: no command before its request arrived, completion after
+    the first command, and a row-hit class of exactly 0 or 1.  Raises
+    ``RuntimeError`` naming the channel of the first violation."""
+    checks = (
+        (first < arrive, "first command before arrival"),
+        (complete <= first, "completion not after the first command"),
+        ((hit != 0) & (hit != 1), "row-hit class not 0 or 1"),
+    )
+    for bad, what in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            ch = int(np.searchsorted(bounds, i, side="right")) - 1
+            raise RuntimeError(
+                f"channel {ch}: {what} (request {i - int(bounds[ch])} of the "
+                f"channel queue: arrive={int(arrive[i])}, first={int(first[i])}, "
+                f"complete={int(complete[i])}, hit={int(hit[i])})"
+            )
+
+
 class MemoryController:
     """Schedules 64-byte requests over the channels of a DRAM config."""
 
@@ -177,6 +211,20 @@ class MemoryController:
         self.channels = [
             Channel(i, config) for i in range(config.organization.n_channels)
         ]
+        # Timing, geometry and policy in the C kernel's PARAMS order.
+        t, org = config.timing, config.organization
+        settings = dict(
+            burst=t.burst_cycles,
+            banks_per_group=org.banks_per_group,
+            n_bankgroups=org.n_bankgroups,
+            fcfs=int(policy is SchedulerPolicy.FCFS),
+            starvation_cap=starvation_cap,
+            window=window,
+        )
+        self._kernel_params = np.array(
+            [settings[k] if k in settings else getattr(t, k) for k in ckernel.PARAMS],
+            dtype=np.int64,
+        )
         # Parallel channel draining: channels are timing-independent,
         # so with workers >= 2 the per-channel drains fan out over a
         # persistent process pool (see repro.dram.parallel) and stats
@@ -523,40 +571,31 @@ class MemoryController:
         wr_sorted = np.asarray(is_write)[order]
         arr_sorted = np.asarray(arrive)[order]
 
-        first = np.zeros(n, dtype=np.int64)
-        complete = np.zeros(n, dtype=np.int64)
-        hit = np.zeros(n, dtype=bool)
+        # Per-request outputs in sorted order; every channel drain
+        # writes its [lo, hi) slice, then one scatter restores input
+        # order.
+        first_s = np.empty(n, dtype=np.int64)
+        complete_s = np.empty(n, dtype=np.int64)
+        hit_s = np.empty(n, dtype=np.int8)
 
         def drain_serial() -> int:
             cycle = 0
-            bf_list = bf_sorted.tolist()
-            row_list = row_sorted.tolist()
-            col_list = col_sorted.tolist()
-            wr_list = wr_sorted.tolist()
-            arr_list = arr_sorted.tolist()
             for channel in self.channels:
                 lo, hi = int(bounds[channel.index]), int(bounds[channel.index + 1])
                 if lo == hi:
                     continue
-                o_first = [-1] * (hi - lo)
-                o_complete = [0] * (hi - lo)
-                o_hit = [-1] * (hi - lo)
                 last, idle = self._drain_channel(
                     channel,
-                    bf_list[lo:hi],
-                    row_list[lo:hi],
-                    col_list[lo:hi],
-                    wr_list[lo:hi],
-                    arr_list[lo:hi],
-                    o_first,
-                    o_complete,
-                    o_hit,
+                    bf_sorted[lo:hi],
+                    row_sorted[lo:hi],
+                    col_sorted[lo:hi],
+                    wr_sorted[lo:hi],
+                    arr_sorted[lo:hi],
+                    first_s[lo:hi],
+                    complete_s[lo:hi],
+                    hit_s[lo:hi],
                     stats,
                 )
-                idxs = order[lo:hi]
-                first[idxs] = o_first
-                complete[idxs] = o_complete
-                hit[idxs] = o_hit
                 cycle = max(cycle, last)
                 stats.busy_channel_cycles[channel.index] = last
                 stats.idle_channel_cycles[channel.index] = idle
@@ -571,13 +610,13 @@ class MemoryController:
             from repro.dram.parallel import ParallelDrainError
 
             # Fan the independent per-channel drains out over the
-            # worker pool; the executor writes the sorted-order
-            # first/complete/hit slices into shared memory and hands
-            # back each channel's post-drain state and stat deltas.
+            # worker pool; the executor fills the sorted-order
+            # first/complete/hit arrays and applies each channel's
+            # post-drain state and stat deltas.
             try:
                 final_cycle = self._ensure_executor().drain(
                     self, bf_sorted, row_sorted, col_sorted, wr_sorted,
-                    arr_sorted, bounds, order, stats, first, complete, hit,
+                    arr_sorted, bounds, stats, first_s, complete_s, hit_s,
                 )
             except ParallelDrainError as exc:
                 # The executor's drain is transactional, so the
@@ -603,6 +642,13 @@ class MemoryController:
             stats.refresh_cycles = int(round(final_cycle * overhead / (1 - overhead)))
             final_cycle += stats.refresh_cycles
         stats.total_cycles = final_cycle
+        _check_conservation(arr_sorted, first_s, complete_s, hit_s, bounds)
+        first = np.empty(n, dtype=np.int64)
+        complete = np.empty(n, dtype=np.int64)
+        hit = np.empty(n, dtype=bool)
+        first[order] = first_s
+        complete[order] = complete_s
+        hit[order] = hit_s == 1
         self._fill_queue_stats(stats, first - arrive)
         return batch, first, complete, hit
 
@@ -637,36 +683,187 @@ class MemoryController:
     def _drain_channel(
         self,
         channel: Channel,
-        bf: list[int],
-        row: list[int],
-        col: list[int],
-        iswr: list[bool],
-        arr: list[int],
-        o_first: list[int],
-        o_complete: list[int],
-        o_hit: list[int],
+        bf: np.ndarray,
+        row: np.ndarray,
+        col: np.ndarray,
+        iswr: np.ndarray,
+        arr: np.ndarray,
+        o_first: np.ndarray,
+        o_complete: np.ndarray,
+        o_hit: np.ndarray,
         stats: ControllerStats,
     ) -> tuple[int, int]:
-        """Drain one channel's FIFO queue (requests given as parallel
-        arrays of flat bank index / row / column / is-write /
-        arrive-cycle, ordered by arrival).
+        """Drain one channel's queue to completion: the single seam
+        every serial and pooled drain goes through.
 
-        Per-request outputs land in the ``o_*`` lists (same order as
-        the inputs): first-command cycle, completion cycle, and row-hit
-        class (1 hit / 0 miss-or-conflict); ``-1`` means not yet set.
+        Inputs are int64 column slices (flat bank index, row, column,
+        arrive-cycle) plus a one-byte is-write slice, ordered by
+        arrival.  Per-request outputs are written into the ``o_*``
+        views (same order): first-command cycle, completion cycle,
+        and row-hit class (1 hit, 0 miss or conflict) as int8.
 
-        Single-feed wrapper over :meth:`_drain_channel_gen` -- the
-        whole queue goes in as one final chunk, so the generator runs
-        to completion without ever yielding for more input.  Returns
-        ``(last_complete_cycle, idle_cycles)``.
+        Runs the compiled kernel (:mod:`repro.dram.ckernel`) when one
+        is loaded and :meth:`_drain_channel_gen` otherwise; both
+        advance the channel and bank state and ``stats`` identically.
+        Returns ``(last_complete_cycle, idle_cycles)``.
         """
-        gen = self._drain_channel_gen(channel, stats)
-        next(gen)
-        try:
-            gen.send((bf, row, col, iswr, arr, o_first, o_complete, o_hit, None, True))
-        except StopIteration as stop:
-            return stop.value
-        raise AssertionError("channel drain did not complete on a final feed")
+        k = len(bf)
+        classified = stats.row_hits + stats.row_misses + stats.row_conflicts
+        kernel = ckernel.load()
+        if kernel is not None:
+            result = self._drain_channel_kernel(
+                kernel, channel, bf, row, col, iswr, arr,
+                o_first, o_complete, o_hit, stats,
+            )  # fmt: skip
+        else:
+            f_list = [-1] * k
+            c_list = [0] * k
+            h_list = [-1] * k
+            gen = self._drain_channel_gen(channel, stats)
+            next(gen)
+            feed = [a.tolist() for a in (bf, row, col, iswr, arr)]
+            try:
+                gen.send((*feed, f_list, c_list, h_list, None, True))
+            except StopIteration as stop:
+                result = stop.value
+            else:  # pragma: no cover - defensive
+                raise AssertionError("channel drain did not complete on a final feed")
+            o_first[:] = f_list
+            o_complete[:] = c_list
+            o_hit[:] = h_list
+        classified = (
+            stats.row_hits + stats.row_misses + stats.row_conflicts - classified
+        )
+        if classified != k:
+            raise RuntimeError(
+                f"channel {channel.index}: {classified} row hit/miss/conflict "
+                f"classifications for {k} requests"
+            )
+        return result
+
+    def _drain_channel_kernel(
+        self,
+        kernel,
+        channel: Channel,
+        bf: np.ndarray,
+        row: np.ndarray,
+        col: np.ndarray,
+        iswr: np.ndarray,
+        arr: np.ndarray,
+        o_first: np.ndarray,
+        o_complete: np.ndarray,
+        o_hit: np.ndarray,
+        stats: ControllerStats,
+    ) -> tuple[int, int]:
+        """Run the compiled drain over one channel: pack channel and
+        bank state, call the kernel, unpack state, counters and (when
+        ``channel.record_commands`` is set) the command stream."""
+        n = len(bf)
+        cols = [np.ascontiguousarray(a, dtype=np.int64) for a in (bf, row, col, arr)]
+        wr = np.ascontiguousarray(iswr)
+        wr = wr.view(np.uint8) if wr.dtype.itemsize == 1 else wr.astype(np.uint8)
+        if any(a.shape != (n,) for a in (*cols, wr)):
+            raise ValueError(f"channel {channel.index}: input columns differ in length")
+        for name, out, dtype in (
+            ("o_first", o_first, np.int64),
+            ("o_complete", o_complete, np.int64),
+            ("o_hit", o_hit, np.int8),
+        ):
+            if out.shape != (n,) or not out.flags.c_contiguous or out.dtype != dtype:
+                raise ValueError(
+                    f"{name} must be a contiguous {np.dtype(dtype)} view of length {n}"
+                )
+        hist = channel._act_history
+        ch = np.zeros(ckernel.CH_SCALARS + hist.maxlen, dtype=np.int64)
+        ch[: ckernel.CH_SCALARS] = (
+            channel._cmd_bus_next,
+            channel._data_bus_next,
+            channel._last_col_cycle,
+            channel._last_col_bankgroup,
+            channel._last_was_write,
+            channel._read_after_write_ok,
+            channel._last_act_cycle,
+            len(hist),
+        )
+        ch[ckernel.CH_SCALARS : ckernel.CH_SCALARS + len(hist)] = list(hist)
+        banks = channel.banks
+        bank = np.array(
+            [
+                [-1 if b.open_row is None else b.open_row for b in banks],
+                [b.earliest_act for b in banks],
+                [b.earliest_pre for b in banks],
+                [b.earliest_col for b in banks],
+                [b.row_hits for b in banks],
+            ],
+            dtype=np.int64,
+        )
+        out = np.zeros(len(ckernel.OUT), dtype=np.int64)
+        recording = channel.record_commands
+        cmds = None
+        if recording:
+            cmds = np.empty((ckernel.COMMANDS_PER_REQUEST * n, 4), dtype=np.int64)
+        rc = kernel(
+            n,
+            *(a.ctypes.data for a in cols[:3]),
+            wr.ctypes.data,
+            cols[3].ctypes.data,
+            o_first.ctypes.data,
+            o_complete.ctypes.data,
+            o_hit.ctypes.data,
+            len(banks),
+            hist.maxlen,
+            ch.ctypes.data,
+            bank.ctypes.data,
+            self._kernel_params.ctypes.data,
+            out.ctypes.data,
+            None if cmds is None else cmds.ctypes.data,
+            0 if cmds is None else cmds.shape[0],
+        )
+        if rc != 0:
+            raise RuntimeError(
+                f"channel {channel.index}: C drain kernel failed "
+                f"({ckernel.ERRORS.get(rc, f'code {rc}')})"
+            )
+        cb, dnext, lcc, lbg, law, raw, lact, hlen = ch[: ckernel.CH_SCALARS].tolist()
+        channel._cmd_bus_next = cb
+        channel._data_bus_next = dnext
+        channel._last_col_cycle = lcc
+        channel._last_col_bankgroup = lbg
+        channel._last_was_write = bool(law)
+        channel._read_after_write_ok = raw
+        channel._last_act_cycle = lact
+        hist.clear()
+        hist.extend(ch[ckernel.CH_SCALARS : ckernel.CH_SCALARS + hlen].tolist())
+        for b, orow, eact, epre, ecol, hits in zip(banks, *bank.tolist()):
+            b.open_row = None if orow < 0 else orow
+            b.earliest_act = eact
+            b.earliest_pre = epre
+            b.earliest_col = ecol
+            b.row_hits = hits
+        acts, pres, hits, misses, confs, last, idle, n_cmds = out.tolist()
+        stats.activates += acts
+        stats.precharges += pres
+        stats.row_hits += hits
+        stats.row_misses += misses
+        stats.row_conflicts += confs
+        if recording:
+            kinds = (
+                CommandKind.ACTIVATE,
+                CommandKind.PRECHARGE,
+                CommandKind.READ,
+                CommandKind.WRITE,
+            )
+            ci = channel.index
+            for cycle, kind, b, arg in cmds[:n_cmds].tolist():
+                if kind == ckernel.CMD_ACT:
+                    channel.commands.append(Command(cycle, kinds[kind], ci, b, row=arg))
+                elif kind == ckernel.CMD_PRE:
+                    channel.commands.append(Command(cycle, kinds[kind], ci, b))
+                else:
+                    channel.commands.append(
+                        Command(cycle, kinds[kind], ci, b, column=arg)
+                    )
+        return last, idle
 
     def _drain_channel_gen(
         self,

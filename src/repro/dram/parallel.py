@@ -10,10 +10,10 @@ drains out over a persistent ``multiprocessing`` pool:
   row, column, is-write, arrive-cycle) into one shared-memory block
   and allocates a second for the per-request outputs;
 - each worker attaches by name (``np.frombuffer`` views, zero-copy),
-  slices its channel's ``[lo, hi)`` rows, replays the exact serial
-  drain loop on a worker-cached controller whose channel was seeded
-  with the parent channel's state, and writes ``first`` / ``complete``
-  / ``hit`` into the output block;
+  slices its channel's ``[lo, hi)`` rows, and runs the serial drain
+  seam (``_drain_channel``) on a worker-cached controller whose
+  channel was seeded with the parent channel's state, writing
+  ``first`` / ``complete`` / ``hit`` straight into the output block;
 - the worker ships back a :class:`ChannelState` snapshot plus its
   stat deltas, and the parent applies snapshots / sums counters in
   channel-index order.
@@ -85,7 +85,7 @@ _I8 = np.dtype("<i8").itemsize
 
 #: Input block layout: four int64 columns then one uint8 column.
 _IN_BYTES_PER_ROW = 4 * _I8 + 1
-#: Output block layout: two int64 columns then one uint8 column.
+#: Output block layout: two int64 columns then one int8 column.
 _OUT_BYTES_PER_ROW = 2 * _I8 + 1
 
 
@@ -103,7 +103,7 @@ def _output_views(buf, n: int):
     """(first, complete, hit) views over the output block."""
     first = np.frombuffer(buf, dtype=np.int64, count=n, offset=0)
     complete = np.frombuffer(buf, dtype=np.int64, count=n, offset=n * _I8)
-    hit = np.frombuffer(buf, dtype=np.uint8, count=n, offset=2 * n * _I8)
+    hit = np.frombuffer(buf, dtype=np.int8, count=n, offset=2 * n * _I8)
     return first, complete, hit
 
 
@@ -229,29 +229,22 @@ def _drain_worker(
     shm_out = shared_memory.SharedMemory(name=out_name)
     try:
         bf, row, col, arr, iswr = _input_views(shm_in.buf, n)
-        k = hi - lo
-        o_first = [-1] * k
-        o_complete = [0] * k
-        o_hit = [-1] * k
+        first, complete, hit = _output_views(shm_out.buf, n)
         channel = controller.channels[channel_index]
         state.apply(channel)
         stats = ControllerStats()
         last, idle = controller._drain_channel(
             channel,
-            bf[lo:hi].tolist(),
-            row[lo:hi].tolist(),
-            col[lo:hi].tolist(),
-            [bool(w) for w in iswr[lo:hi]],
-            arr[lo:hi].tolist(),
-            o_first,
-            o_complete,
-            o_hit,
+            bf[lo:hi],
+            row[lo:hi],
+            col[lo:hi],
+            iswr[lo:hi],
+            arr[lo:hi],
+            first[lo:hi],
+            complete[lo:hi],
+            hit[lo:hi],
             stats,
         )
-        first, complete, hit = _output_views(shm_out.buf, n)
-        first[lo:hi] = o_first
-        complete[lo:hi] = o_complete
-        hit[lo:hi] = o_hit
         result = (
             channel_index,
             ChannelState.capture(channel),
@@ -515,33 +508,26 @@ class ParallelDrainExecutor:
         _params, ci, _in_name, _n, lo, hi, _out_name, state0 = task
         bf, row, col, wr, arr = arrays
         channel = controller.channels[ci]
-        k = hi - lo
-        o_first = [-1] * k
-        o_complete = [0] * k
-        o_hit = [-1] * k
         local = ControllerStats()
+        first, complete, hit = _output_views(out_buf, n)
         state0.apply(channel)
         try:
             last, idle = controller._drain_channel(
                 channel,
-                bf[lo:hi].tolist(),
-                row[lo:hi].tolist(),
-                col[lo:hi].tolist(),
-                [bool(w) for w in wr[lo:hi]],
-                arr[lo:hi].tolist(),
-                o_first,
-                o_complete,
-                o_hit,
+                bf[lo:hi],
+                row[lo:hi],
+                col[lo:hi],
+                wr[lo:hi],
+                arr[lo:hi],
+                first[lo:hi],
+                complete[lo:hi],
+                hit[lo:hi],
                 local,
             )
             post = ChannelState.capture(channel)
         finally:
             state0.apply(channel)
-        first, complete, hit = _output_views(out_buf, n)
-        first[lo:hi] = o_first
-        complete[lo:hi] = o_complete
-        hit[lo:hi] = o_hit
-        del first, complete, hit
+            del first, complete, hit
         return (
             ci,
             post,
@@ -563,7 +549,6 @@ class ParallelDrainExecutor:
         wr_sorted: np.ndarray,
         arr_sorted: np.ndarray,
         bounds: np.ndarray,
-        order: np.ndarray,
         stats,
         first: np.ndarray,
         complete: np.ndarray,
@@ -572,12 +557,11 @@ class ParallelDrainExecutor:
         """Drain every non-empty channel of ``controller`` in parallel.
 
         Inputs are the arrival-sorted column arrays and channel
-        ``bounds`` that the serial path would slice per channel;
-        ``order`` maps sorted positions back to input order.  Fills
-        ``stats`` counters / per-channel cycles and the per-request
-        ``first`` / ``complete`` / ``hit`` arrays (input order)
-        exactly as the serial loop does, and returns the final cycle
-        (max last-completion over channels).
+        ``bounds`` that the serial path would slice per channel.
+        Fills ``stats`` counters / per-channel cycles and the
+        per-request ``first`` / ``complete`` / ``hit`` (int8) arrays,
+        in the same sorted order, exactly as the serial loop does, and
+        returns the final cycle (max last-completion over channels).
         """
         n = int(bf_sorted.shape[0])
         params = pickle.dumps(
@@ -661,9 +645,9 @@ class ParallelDrainExecutor:
                 if last > final_cycle:
                     final_cycle = last
             o_first, o_complete, o_hit = _output_views(shm_out.buf, n)
-            first[order] = o_first
-            complete[order] = o_complete
-            hit[order] = o_hit != 0
+            first[:] = o_first
+            complete[:] = o_complete
+            hit[:] = o_hit
             del i_bf, i_row, i_col, i_arr, i_wr, o_first, o_complete, o_hit
             return final_cycle
         finally:
