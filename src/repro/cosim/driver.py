@@ -225,6 +225,17 @@ class _SurchargeSearch:
         return extra
 
 
+def _check_conservation(index: int, stats: ControllerStats, trace: ReplayTrace) -> None:
+    """Every replayed request must come out of the drain: a backend
+    that drops or duplicates requests would skew the contention
+    measured from it without any other symptom."""
+    if stats.requests != len(trace):
+        raise RuntimeError(
+            f"cosim iteration {index}: drained {stats.requests} DRAM "
+            f"requests but replayed {len(trace)}"
+        )
+
+
 @dataclass(frozen=True)
 class CosimIteration:
     """One serving + DRAM pass of the loop."""
@@ -410,12 +421,15 @@ class CosimDriver:
         boundaries = np.flatnonzero(np.diff(rids)) + 1
         run_starts = np.concatenate(([0], boundaries))
         run_ends = np.concatenate((boundaries, [len(rids)]))
-        arrive = np.empty(len(rids), dtype=np.int64)
-        base = 0
-        for lo, hi in zip(run_starts.tolist(), run_ends.tolist()):
-            offsets = trace.arrive_cycles[lo:hi] - trace.arrive_cycles[lo]
-            arrive[lo:hi] = base + offsets
-            base += int(offsets[-1]) + (hi - lo) * per_access + 64
+        run_lengths = run_ends - run_starts
+        # Offsets from each run's first arrival; each run starts where
+        # the previous one's last offset plus a no-overlap gap ends.
+        offsets = trace.arrive_cycles - np.repeat(
+            trace.arrive_cycles[run_starts], run_lengths
+        )
+        spans = offsets[run_ends - 1] + run_lengths * per_access + 64
+        run_bases = np.concatenate(([0], np.cumsum(spans)[:-1]))
+        arrive = np.repeat(run_bases, run_lengths) + offsets
         _, timings = self.backend.simulate(
             trace.addrs, arrive, trace.flags, trace.request_ids
         )
@@ -484,6 +498,7 @@ class CosimDriver:
             stats, timings = self.backend.simulate(
                 trace.addrs, trace.arrive_cycles, trace.flags, trace.request_ids
             )
+            _check_conservation(index, stats, trace)
             result.final_trace = trace
             result.final_dram_stats = stats
 
@@ -608,6 +623,7 @@ class CosimDriver:
             stats, timings = self.backend.simulate(
                 trace.addrs, trace.arrive_cycles, trace.flags, trace.request_ids
             )
+            _check_conservation(index, stats, trace)
             result.final_trace = trace
             result.final_dram_stats = stats
 

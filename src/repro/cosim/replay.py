@@ -20,11 +20,17 @@ order), so the co-simulation driver can replay the same request set
 under different arrival timings -- including the serialized
 calibration pass that isolates per-request memory contention -- and
 get identical per-request address streams.
+
+Because of that, a planner computes each request's routing once: the
+per-region block allocation is cached on the planner, keyed by
+``(request_id, tokens)``, and every replay expands the cached
+segments of all requests with a few vectorized numpy passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,8 +82,13 @@ class ExpertReplayPlanner:
     """Maps serving requests to the DRAM regions of their experts.
 
     One planner is built per (model geometry, DRAM config) and reused
-    across co-simulation iterations; it is stateless across
-    :meth:`replay` calls.  Routing decisions come from the profile's
+    across co-simulation iterations.  Its only mutable state is a
+    cache of each request's routing decision (the block count per
+    activated expert region), keyed by ``(request_id, tokens)``; since
+    the decision is a pure function of ``(seed, request_id, tokens)``,
+    the cache never changes what :meth:`replay` returns, only how fast
+    a later replay of the same request is.  Pickling drops it.
+    Routing decisions come from the profile's
     per-layer popularity by default, or from real gating networks when
     ``routers`` is given (one :class:`~repro.moe.gating.Router` per
     MoE layer; each request then routes seeded token embeddings
@@ -146,6 +157,17 @@ class ExpertReplayPlanner:
             )
             for rank in range(n_moe_layers)
         ]
+        # (request_id, tokens) -> (region bases, block counts); see
+        # _segments.  Tens of entries per request, whatever the
+        # request's block count.
+        self._segment_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        # The routing cache is rebuilt on demand; drop it so pickles
+        # shipped to sweep workers stay small.
+        state = self.__dict__.copy()
+        state["_segment_cache"] = {}
+        return state
 
     # -- region geometry (consumed by repro.cluster sharding) -------------
 
@@ -211,15 +233,30 @@ class ExpertReplayPlanner:
             for pop in (popularity if popularity is not None else self._popularity)
         ]
 
-    def request_blocks(self, request_id: int, tokens: int) -> np.ndarray:
-        """Block indices fetched by one serving request, in layer
-        order -- deterministic in (seed, request_id, tokens) alone."""
-        if tokens < 1:
-            raise ValueError("tokens must be >= 1")
-        n_blocks = min(
+    def _n_blocks(self, tokens: int) -> int:
+        """Blocks one request of ``tokens`` tokens streams in total."""
+        return min(
             self.max_blocks_per_request,
             -(-(tokens * self.bytes_per_token) // self._step),
         )
+
+    def _segments(self, request_id: int, tokens: int) -> tuple[np.ndarray, np.ndarray]:
+        """The routing decision behind :meth:`request_blocks`: the
+        region base block and the block count of every (layer, expert)
+        region the request streams from, in layer order, as two
+        read-only int64 arrays.
+
+        Cached per ``(request_id, tokens)``.  Every other input is fixed
+        at construction, so an entry is a pure function of
+        ``(seed, request_id, tokens)`` and stays valid across replays.
+        """
+        key = (request_id, tokens)
+        cached = self._segment_cache.get(key)
+        if cached is not None:
+            return cached
+        if tokens < 1:
+            raise ValueError("tokens must be >= 1")
+        n_blocks = self._n_blocks(tokens)
         rng = np.random.default_rng((self.seed, request_id))
         layer_counts = self._layer_counts(
             rng, tokens, self._popularity_for(request_id)
@@ -233,11 +270,13 @@ class ExpertReplayPlanner:
         # Allocate the request's blocks across its activated
         # (layer, expert) regions proportionally to routed tokens;
         # largest-remainder rounding keeps the total exact.
-        pairs = []
-        for layer, counts in enumerate(layer_counts):
-            for expert in np.flatnonzero(counts):
-                pairs.append((layer, int(expert), int(counts[expert])))
-        shares = np.array([c for _, _, c in pairs], dtype=np.float64)
+        experts = [np.flatnonzero(counts) for counts in layer_counts]
+        region_ids = np.concatenate(
+            [layer * self.n_experts + e for layer, e in enumerate(experts)]
+        ).astype(np.int64)
+        shares = np.concatenate(
+            [counts[e] for counts, e in zip(layer_counts, experts)]
+        ).astype(np.float64)
         raw = shares * (n_blocks / total_events)
         alloc = np.floor(raw).astype(np.int64)
         shortfall = n_blocks - int(alloc.sum())
@@ -245,19 +284,49 @@ class ExpertReplayPlanner:
             order = np.argsort(-(raw - alloc), kind="stable")
             alloc[order[:shortfall]] += 1
 
-        chunks = []
-        for (layer, expert, _), b in zip(pairs, alloc.tolist()):
-            if b == 0:
-                continue
-            region_id = layer * self.n_experts + expert
-            base = (region_id * self._region_blocks) % self._total_blocks
-            # Each activation streams the expert's weights from the
-            # start of its region, wrapping within the region.
-            offs = np.arange(b, dtype=np.int64) % self._region_blocks
-            chunks.append((base + offs) % self._total_blocks)
-        return np.concatenate(chunks)
+        keep = alloc > 0
+        bases = (region_ids[keep] * self._region_blocks) % self._total_blocks
+        counts = alloc[keep]
+        bases.flags.writeable = False
+        counts.flags.writeable = False
+        self._segment_cache[key] = (bases, counts)
+        return bases, counts
+
+    def _expand(self, bases: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Block indices of a run of segments.  Each activation streams
+        its expert's weights from the start of the region, wrapping
+        within the region."""
+        starts = np.cumsum(counts) - counts
+        index = np.arange(int(counts.sum()), dtype=np.int64)
+        within = index - np.repeat(starts, counts)
+        return (
+            np.repeat(bases, counts) + within % self._region_blocks
+        ) % self._total_blocks
+
+    def request_blocks(self, request_id: int, tokens: int) -> np.ndarray:
+        """Block indices fetched by one serving request, in layer
+        order -- deterministic in (seed, request_id, tokens) alone.
+        Returns a fresh array on every call."""
+        return self._expand(*self._segments(request_id, tokens))
 
     # -- whole-run replay --------------------------------------------------
+
+    def _streams(self, result: ServingResult):
+        """The completed requests in request-id order, their token
+        counts, and every request's blocks laid end to end (one
+        expansion for the whole run)."""
+        done = sorted(result.completed, key=lambda c: c.request.request_id)
+        tokens = [c.request.prompt_tokens + c.request.decode_tokens for c in done]
+        segments = [
+            self._segments(c.request.request_id, t) for c, t in zip(done, tokens)
+        ]
+        if not segments:
+            return done, tokens, np.zeros(0, dtype=np.int64)
+        blocks = self._expand(
+            np.concatenate([b for b, _ in segments]),
+            np.concatenate([n for _, n in segments]),
+        )
+        return done, tokens, blocks
 
     def replay(self, result: ServingResult) -> ReplayTrace:
         """Render a serving run as DRAM columns.
@@ -275,33 +344,16 @@ class ExpertReplayPlanner:
         if getattr(result, "engine", "fifo") == "batching":
             return self._replay_phases(result)
         clock_hz = self.config.timing.clock_hz
-        addr_chunks: list[np.ndarray] = []
-        arrive_chunks: list[np.ndarray] = []
-        id_chunks: list[np.ndarray] = []
-        tokens_by_request: dict[int, int] = {}
-        for completed in sorted(result.completed, key=lambda c: c.request.request_id):
-            request = completed.request
-            tokens = request.prompt_tokens + request.decode_tokens
-            blocks = self.request_blocks(request.request_id, tokens)
-            start_cycle = int(round(completed.start * clock_hz))
-            addr_chunks.append(blocks * self._step)
-            arrive_chunks.append(np.full(len(blocks), start_cycle, dtype=np.int64))
-            id_chunks.append(np.full(len(blocks), request.request_id, dtype=np.int64))
-            tokens_by_request[request.request_id] = tokens
-        if addr_chunks:
-            addrs = np.concatenate(addr_chunks)
-            arrive = np.concatenate(arrive_chunks)
-            request_ids = np.concatenate(id_chunks)
-        else:
-            addrs = np.zeros(0, dtype=np.int64)
-            arrive = np.zeros(0, dtype=np.int64)
-            request_ids = np.zeros(0, dtype=np.int64)
+        done, tokens, blocks = self._streams(result)
+        lengths = np.array([self._n_blocks(t) for t in tokens], dtype=np.int64)
+        starts = [int(round(c.start * clock_hz)) for c in done]
+        rids = [c.request.request_id for c in done]
         return ReplayTrace(
-            addrs=addrs,
-            arrive_cycles=arrive,
-            flags=np.zeros(len(addrs), dtype=np.uint8),
-            request_ids=request_ids,
-            tokens_by_request=tokens_by_request,
+            addrs=blocks * self._step,
+            arrive_cycles=np.repeat(np.array(starts, dtype=np.int64), lengths),
+            flags=np.zeros(len(blocks), dtype=np.uint8),
+            request_ids=np.repeat(np.array(rids, dtype=np.int64), lengths),
+            tokens_by_request=dict(zip(rids, tokens)),
         )
 
     def _replay_phases(self, result: ServingResult) -> ReplayTrace:
@@ -320,86 +372,82 @@ class ExpertReplayPlanner:
         in-step offsets rather than the step boundary keeps one step's
         traffic spread the way the cost model spends its time, instead
         of spiking everything at the step start.
+
+        A plain Python pass over the requests plans every burst's
+        first block (an offset into the run's blocks), share, batch,
+        start time, request id and phase; every column is then built
+        with one gather or one repeat.  Zero-length bursts are never
+        planned, so they consume no burst id.
         """
         clock_hz = self.config.timing.clock_hz
-        addr_chunks: list[np.ndarray] = []
-        arrive_chunks: list[np.ndarray] = []
-        id_chunks: list[np.ndarray] = []
-        burst_chunks: list[np.ndarray] = []
-        phase_chunks: list[np.ndarray] = []
-        tokens_by_request: dict[int, int] = {}
-        burst_id = 0
-
-        def emit(blocks: np.ndarray, cycle: int, rid: int, phase: int) -> None:
-            nonlocal burst_id
-            if len(blocks) == 0:
-                return
-            addr_chunks.append(blocks * self._step)
-            arrive_chunks.append(np.full(len(blocks), cycle, dtype=np.int64))
-            id_chunks.append(np.full(len(blocks), rid, dtype=np.int64))
-            burst_chunks.append(np.full(len(blocks), burst_id, dtype=np.int64))
-            phase_chunks.append(np.full(len(blocks), phase, dtype=np.uint8))
-            burst_id += 1
-
-        for completed in sorted(result.completed, key=lambda c: c.request.request_id):
+        done, tokens, blocks = self._streams(result)
+        # One entry per burst, in emission order: first block (an
+        # offset into `blocks`), blocks before batch amortization,
+        # decode batch, start time in seconds, request id, phase.
+        srcs: list[int] = []
+        shares: list[int] = []
+        batches: list[int] = []
+        starts: list[float] = []
+        rids: list[int] = []
+        phases: list[int] = []
+        first = 0  # offset of the current request's first block
+        for completed, n_tokens in zip(done, tokens):
             request = completed.request
-            tokens = request.prompt_tokens + request.decode_tokens
-            blocks = self.request_blocks(request.request_id, tokens)
-            tokens_by_request[request.request_id] = tokens
+            n_blocks = self._n_blocks(n_tokens)
             n_pre = min(
-                len(blocks),
+                n_blocks,
                 -(-(request.prompt_tokens * self.bytes_per_token) // self._step),
             )
-            prefill_at = (
-                completed.start
-                if completed.prefill_start is None
-                else completed.prefill_start
-            )
-            emit(
-                blocks[:n_pre],
-                int(round(prefill_at * clock_hz)),
-                request.request_id,
-                PHASE_PREFILL,
-            )
-            rest = blocks[n_pre:]
-            steps = completed.decode_step_starts
-            batches = completed.decode_step_batches
-            if len(rest) == 0 or not steps:
-                continue
-            base, remainder = divmod(len(rest), len(steps))
-            offset = 0
-            for s, (start, batch) in enumerate(zip(steps, batches)):
-                share = base + (1 if s < remainder else 0)
-                if share == 0:
-                    continue
-                chunk = rest[offset : offset + share]
-                offset += share
-                emit(
-                    chunk[: -(-share // max(1, batch))],
-                    int(round(start * clock_hz)),
-                    request.request_id,
-                    PHASE_DECODE,
+            own = [n_pre] if n_pre else []
+            if n_pre:
+                batches.append(1)
+                starts.append(
+                    completed.start
+                    if completed.prefill_start is None
+                    else completed.prefill_start
                 )
-        if addr_chunks:
-            addrs = np.concatenate(addr_chunks)
-            arrive = np.concatenate(arrive_chunks)
-            request_ids = np.concatenate(id_chunks)
-            burst_ids = np.concatenate(burst_chunks)
-            phases = np.concatenate(phase_chunks)
-        else:
-            addrs = np.zeros(0, dtype=np.int64)
-            arrive = np.zeros(0, dtype=np.int64)
-            request_ids = np.zeros(0, dtype=np.int64)
-            burst_ids = np.zeros(0, dtype=np.int64)
-            phases = np.zeros(0, dtype=np.uint8)
+            rest = n_blocks - n_pre
+            steps = completed.decode_step_starts
+            n_dec = 0
+            if rest and steps:
+                # The first `remainder` steps take one block more than
+                # the others; steps with a zero share emit no burst.
+                base, remainder = divmod(rest, len(steps))
+                n_dec = min(
+                    len(steps) if base else remainder,
+                    len(completed.decode_step_batches),
+                )
+                split = [base + 1] * remainder + [base] * (len(steps) - remainder)
+                own += split[:n_dec]
+                batches.extend(completed.decode_step_batches[:n_dec])
+                starts.extend(steps[:n_dec])
+            if own:
+                srcs.extend(accumulate(own[:-1], initial=first))
+            shares.extend(own)
+            rids.extend([request.request_id] * len(own))
+            phases.extend([PHASE_PREFILL] * (len(own) - n_dec) + [PHASE_DECODE] * n_dec)
+            first += n_blocks
+
+        # Decode bursts stream ceil(share / batch) blocks.
+        lengths = -(
+            -np.array(shares, dtype=np.int64)
+            // np.maximum(1, np.array(batches, dtype=np.int64))
+        )
+        src = np.array(srcs, dtype=np.int64)
+        gather = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+            src - (np.cumsum(lengths) - lengths), lengths
+        )
+        addrs = blocks[gather] * self._step
+        # rint rounds half to even, as round() does.
+        cycles = np.rint(np.array(starts, dtype=np.float64) * clock_hz).astype(np.int64)
         return ReplayTrace(
             addrs=addrs,
-            arrive_cycles=arrive,
+            arrive_cycles=np.repeat(cycles, lengths),
             flags=np.zeros(len(addrs), dtype=np.uint8),
-            request_ids=request_ids,
-            tokens_by_request=tokens_by_request,
-            burst_ids=burst_ids,
-            phases=phases,
+            request_ids=np.repeat(np.array(rids, dtype=np.int64), lengths),
+            tokens_by_request={c.request.request_id: t for c, t in zip(done, tokens)},
+            burst_ids=np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
+            phases=np.repeat(np.array(phases, dtype=np.uint8), lengths),
         )
 
     @classmethod

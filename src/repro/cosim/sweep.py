@@ -565,6 +565,17 @@ def _grid_point(point_fn: Callable, args: tuple, stream: dict):
     return point_fn(*args, _requests(args[-1], **stream), stream["traffic"])
 
 
+def _pool_worker_init() -> None:
+    """Forked pool workers inherit the sweep's raising SIGINT/SIGTERM
+    handlers.  Under ``Pool.terminate`` such a worker could turn the
+    SIGTERM into a ``SweepInterrupted`` it survives (caught as a task
+    failure, or delivered while blocked on a lock), and the pool's
+    join then hung.  Restore the defaults: the parent alone turns a
+    signal into ``SweepInterrupted``, and SIGTERM ends a worker."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _run_grid(
     point_fn: Callable,
     cost_model: CostModel,
@@ -747,7 +758,7 @@ def _run_grid(
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn"
             )
-            pool = ctx.Pool(min(workers, len(todo)))
+            pool = ctx.Pool(min(workers, len(todo)), initializer=_pool_worker_init)
             try:
                 pending = {
                     key: pool.apply_async(

@@ -113,6 +113,6 @@ class DriftingReplayPlanner(ExpertReplayPlanner):
     def __getstate__(self) -> dict:
         # The cache is a pure function of (drift, _popularity); drop
         # it so pickles shipped to sweep workers stay small.
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state["_drift_cache"] = {}
         return state

@@ -11,6 +11,8 @@ the sweep down with it.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import signal
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.cosim import (
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.cosim import sweep
 from repro.cosim.sweep import load_checkpoint
 from repro.faults import interrupt_after
 from repro.serving.simulator import CostModel
@@ -97,6 +100,32 @@ def test_parallel_sweep_resume_identical(tmp_path, baseline):
         run(checkpoint_path=ckpt, on_point=interrupt_after(1))
     resumed, _ = run(checkpoint_path=ckpt, resume=True, workers=2)
     assert json.dumps(resumed.to_dict()) == json.dumps(baseline.to_dict())
+
+
+def _point_in_default_signal_state(*args):
+    """A grid point that fails unless its worker dropped the sweep's
+    SIGINT/SIGTERM handlers (so ``Pool.terminate`` can end it)."""
+    assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    return _RUN_RATE_POINT(*args)
+
+
+_RUN_RATE_POINT = sweep._run_rate_point
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="spawned workers never inherit the handlers",
+)
+def test_pool_workers_drop_sweep_signal_handlers(tmp_path, baseline, monkeypatch):
+    """A checkpointed sweep installs raising SIGINT/SIGTERM handlers
+    while it runs; forked workers must not keep them, or terminating
+    the pool can hang on a worker that survived its SIGTERM."""
+    monkeypatch.setattr(sweep, "_run_rate_point", _point_in_default_signal_state)
+    ckpt = tmp_path / "sweep.ckpt"
+    pooled, _ = run(checkpoint_path=ckpt, workers=2)
+    assert not any(p.failed for p in pooled.points)
+    assert json.dumps(pooled.to_dict()) == json.dumps(baseline.to_dict())
 
 
 def test_fingerprint_mismatch_rejected(tmp_path):

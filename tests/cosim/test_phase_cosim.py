@@ -17,6 +17,7 @@ from repro.cosim import (
     CosimConfig,
     CosimDriver,
     ExpertReplayPlanner,
+    SingleDeviceBackend,
     SyntheticReplayPlanner,
     run_load_sweep,
     slo_capacity,
@@ -248,3 +249,72 @@ def test_slo_capacity_interpolation():
     # All compliant -> the highest rate; none compliant -> zero.
     assert slo_capacity(points, 1.0) == pytest.approx(4.0)
     assert slo_capacity(points, 1e-6) == 0.0
+
+
+# -- isolation arrivals and drain conservation ------------------------------
+
+
+class _RecordingBackend(SingleDeviceBackend):
+    """Single device that remembers every arrival stream it drains."""
+
+    def __init__(self, dram_config):
+        super().__init__(dram_config)
+        self.arrivals = []
+
+    def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
+        self.arrivals.append(np.array(arrive_cycles, copy=True))
+        return super().simulate(addrs, arrive_cycles, flags, request_ids)
+
+
+def reference_isolated_arrivals(trace, per_access):
+    """The per-request re-basing loop the vectorized form replaced."""
+    rids = trace.request_ids
+    boundaries = np.flatnonzero(np.diff(rids)) + 1
+    run_starts = np.concatenate(([0], boundaries))
+    run_ends = np.concatenate((boundaries, [len(rids)]))
+    arrive = np.empty(len(rids), dtype=np.int64)
+    base = 0
+    for lo, hi in zip(run_starts.tolist(), run_ends.tolist()):
+        offsets = trace.arrive_cycles[lo:hi] - trace.arrive_cycles[lo]
+        arrive[lo:hi] = base + offsets
+        base += int(offsets[-1]) + (hi - lo) * per_access + 64
+    return arrive
+
+
+@pytest.mark.parametrize("rate", [1e5, SATURATING_RATE])
+def test_isolated_element_arrivals_match_reference_loop(parts, rate):
+    cost, _ = parts
+    planner = make_planner()
+    serving = BatchingEngine(
+        PhaseCostModel.from_cost_model(cost, decode_marginal_fraction=0.5),
+        Scheme.MD_LB,
+        BatchConfig(),
+    ).run(requests_at(rate))
+    trace = planner.replay(serving)
+    backend = _RecordingBackend(planner.config)
+    driver = CosimDriver(cost, Scheme.MD_LB, planner, backend=backend)
+    latencies = driver._isolated_element_latencies(trace)
+    t = planner.config.timing
+    want = reference_isolated_arrivals(trace, t.tRC + t.tCL + t.burst_cycles + 2)
+    (got,) = backend.arrivals
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (latencies > 0).all()
+
+
+class _DroppingBackend(SingleDeviceBackend):
+    """Loses the last request of every stream it drains."""
+
+    def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
+        return super().simulate(addrs[:-1], arrive_cycles[:-1], flags[:-1])
+
+
+@pytest.mark.parametrize("engine", ["fifo", "batching"])
+def test_drain_that_loses_a_request_is_refused(parts, engine):
+    cost, _ = parts
+    planner = make_planner()
+    driver = CosimDriver(
+        cost, Scheme.MD_LB, planner, CosimConfig(engine=engine),
+        backend=_DroppingBackend(planner.config),
+    )
+    with pytest.raises(RuntimeError, match="iteration 0: drained"):
+        driver.run(requests_at(1e5, n=8))
