@@ -88,6 +88,8 @@ class SingleDeviceBackend:
         self.config = dram_config
         self.window = window
         self._pool = DeviceDrainPool(dram_workers)
+        # (addrs, its decode) of the last read-only addrs array drained
+        self._last_decode = None
 
     def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
         """Simulate one arrival stream on a cold controller; returns
@@ -96,8 +98,30 @@ class SingleDeviceBackend:
             self.config, window=self.window, executor=self._pool.executor()
         )
         return controller.simulate_arrays(
-            addrs, arrive_cycles, flags, detail=True
+            addrs,
+            arrive_cycles,
+            flags,
+            detail=True,
+            decoded=self._decode(controller, addrs),
         )
+
+    def _decode(self, controller: MemoryController, addrs):
+        """The address decode of ``addrs``, reused while the same
+        read-only array comes back: the driver drains each trace twice
+        (fixed point, then isolation) at different arrival cycles but
+        the same addresses.  An array that is writeable, or views a
+        writeable one, is never memoized: its contents may change
+        between drains."""
+        if not isinstance(addrs, np.ndarray):
+            return None
+        base = addrs
+        while isinstance(base, np.ndarray):
+            if base.flags.writeable:
+                return None
+            base = base.base
+        if self._last_decode is None or self._last_decode[0] is not addrs:
+            self._last_decode = (addrs, controller.mapper.decode_batch(addrs))
+        return self._last_decode[1]
 
     def transfer_seconds(self, trace) -> dict[int, float]:
         """Per-request inter-device activation-transfer seconds.  One
@@ -225,15 +249,20 @@ class _SurchargeSearch:
         return extra
 
 
-def _check_conservation(index: int, stats: ControllerStats, trace: ReplayTrace) -> None:
+def _check_conservation(stage: str, stats: ControllerStats, trace: ReplayTrace) -> None:
     """Every replayed request must come out of the drain: a backend
     that drops or duplicates requests would skew the contention
     measured from it without any other symptom."""
     if stats.requests != len(trace):
         raise RuntimeError(
-            f"cosim iteration {index}: drained {stats.requests} DRAM "
-            f"requests but replayed {len(trace)}"
+            f"{stage}: drained {stats.requests} DRAM requests but "
+            f"replayed {len(trace)}"
         )
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Index of the first element of each contiguous run of ``ids``."""
+    return np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1))
 
 
 @dataclass(frozen=True)
@@ -389,22 +418,15 @@ class CosimDriver:
         per_access = t.tRC + t.tCL + t.burst_cycles + 2
         if ids is None:
             ids = trace.request_ids
-        boundaries = np.flatnonzero(np.diff(ids)) + 1
-        run_starts = np.concatenate(([0], boundaries))
+        run_starts = _run_starts(ids)
         run_lengths = np.diff(np.concatenate((run_starts, [len(ids)])))
         gaps = run_lengths * per_access + 64
         run_arrivals = np.concatenate(([0], np.cumsum(gaps)[:-1]))
         arrive = np.repeat(run_arrivals, run_lengths)
-        _, timings = self.backend.simulate(
-            trace.addrs, arrive, trace.flags, trace.request_ids
-        )
-        makespans = np.zeros(len(run_starts), dtype=np.int64)
-        complete = timings.complete_cycles
-        for i, (lo, ln) in enumerate(zip(run_starts.tolist(), run_lengths.tolist())):
-            makespans[i] = int(complete[lo : lo + ln].max() - arrive[lo])
-        return {
-            int(ids[lo]): int(mk) for lo, mk in zip(run_starts.tolist(), makespans)
-        }
+        last = self._drain_isolated(trace, arrive, run_starts)[1]
+        makespans = last - run_arrivals
+        run_ids = ids[run_starts].tolist()
+        return {int(i): int(mk) for i, mk in zip(run_ids, makespans.tolist())}
 
     def _isolated_element_latencies(self, trace: ReplayTrace) -> np.ndarray:
         """Per-element DRAM latencies when each REQUEST has the memory
@@ -417,10 +439,8 @@ class CosimDriver:
         quantity the fifo path's per-request baseline measures."""
         t = self.planner.config.timing
         per_access = t.tRC + t.tCL + t.burst_cycles + 2
-        rids = trace.request_ids
-        boundaries = np.flatnonzero(np.diff(rids)) + 1
-        run_starts = np.concatenate(([0], boundaries))
-        run_ends = np.concatenate((boundaries, [len(rids)]))
+        run_starts = _run_starts(trace.request_ids)
+        run_ends = np.concatenate((run_starts[1:], [len(trace)]))
         run_lengths = run_ends - run_starts
         # Offsets from each run's first arrival; each run starts where
         # the previous one's last offset plus a no-overlap gap ends.
@@ -430,10 +450,36 @@ class CosimDriver:
         spans = offsets[run_ends - 1] + run_lengths * per_access + 64
         run_bases = np.concatenate(([0], np.cumsum(spans)[:-1]))
         arrive = np.repeat(run_bases, run_lengths) + offsets
-        _, timings = self.backend.simulate(
+        complete = self._drain_isolated(trace, arrive, run_starts)[0]
+        return complete - arrive
+
+    def _drain_isolated(
+        self, trace: ReplayTrace, arrive: np.ndarray, run_starts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Drain ``trace`` with its runs serialized at ``arrive``;
+        returns per-element completion cycles and each run's last
+        completion.  Checks conservation and the isolation premise:
+        a run that is still completing when the next one arrives
+        shares the memory system with it, and its baseline would
+        carry the very contention it is meant to exclude."""
+        stats, timings = self.backend.simulate(
             trace.addrs, arrive, trace.flags, trace.request_ids
         )
-        return timings.complete_cycles - arrive
+        _check_conservation("isolation drain", stats, trace)
+        complete = timings.complete_cycles
+        last = np.maximum.reduceat(complete, run_starts)
+        overlap = np.flatnonzero(last[:-1] >= arrive[run_starts[1:]])
+        if overlap.size:
+            k = int(overlap[0])
+            lo, nxt = int(run_starts[k]), int(run_starts[k + 1])
+            raise RuntimeError(
+                f"isolation drain: the run of request "
+                f"{int(trace.request_ids[lo])} completes at cycle "
+                f"{int(last[k])}, not before the next run (request "
+                f"{int(trace.request_ids[nxt])}) arrives at cycle "
+                f"{int(arrive[nxt])}"
+            )
+        return complete, last
 
     def _isolation_baseline(self, trace: ReplayTrace) -> dict[int, int]:
         stable = getattr(self.planner, "stable_addresses", True)
@@ -457,6 +503,15 @@ class CosimDriver:
         return self._iso_cache
 
     # -- the loop ----------------------------------------------------------
+
+    def _replay(self, serving: ServingResult) -> ReplayTrace:
+        """The serving run as a DRAM trace, its address column made
+        read-only so the backend may decode it once for both the
+        fixed-point drain and the isolation drain."""
+        trace = self.planner.replay(serving)
+        if isinstance(trace.addrs, np.ndarray):
+            trace.addrs.flags.writeable = False
+        return trace
 
     def run(self, requests: list[Request]) -> CosimResult:
         """Run the fixed-point loop over one serving request list."""
@@ -491,14 +546,14 @@ class CosimDriver:
                 result.open_loop = serving
             result.closed_loop = serving
 
-            trace = self.planner.replay(serving)
+            trace = self._replay(serving)
             if len(trace) == 0:
                 result.converged = True
                 break
             stats, timings = self.backend.simulate(
                 trace.addrs, trace.arrive_cycles, trace.flags, trace.request_ids
             )
-            _check_conservation(index, stats, trace)
+            _check_conservation(f"cosim iteration {index}", stats, trace)
             result.final_trace = trace
             result.final_dram_stats = stats
 
@@ -616,14 +671,14 @@ class CosimDriver:
                 result.open_loop = serving
             result.closed_loop = serving
 
-            trace = self.planner.replay(serving)
+            trace = self._replay(serving)
             if len(trace) == 0:
                 result.converged = True
                 break
             stats, timings = self.backend.simulate(
                 trace.addrs, trace.arrive_cycles, trace.flags, trace.request_ids
             )
-            _check_conservation(index, stats, trace)
+            _check_conservation(f"cosim iteration {index}", stats, trace)
             result.final_trace = trace
             result.final_dram_stats = stats
 

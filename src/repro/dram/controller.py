@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.dram import ckernel
-from repro.dram.address import AddressMapper, MappingScheme
+from repro.dram.address import AddressMapper, DecodedBatch, MappingScheme
 from repro.dram.channel import Channel
 from repro.dram.config import DRAMConfig
 from repro.dram.request import (
@@ -315,6 +315,7 @@ class MemoryController:
         arrive_cycles=None,
         flags=None,
         detail: bool = False,
+        decoded: Optional[DecodedBatch] = None,
     ) -> ControllerStats | tuple[ControllerStats, RequestTimings]:
         """Array-native :meth:`simulate`: drive the scheduler straight
         from trace columns, constructing no ``Request`` objects.
@@ -334,6 +335,10 @@ class MemoryController:
         queue-delay percentiles, needed by consumers (the serving
         co-simulation) that map DRAM queueing back onto the individual
         upstream requests that caused it.
+
+        ``decoded`` is ``self.mapper.decode_batch(addrs)`` when the
+        caller already holds it (a trace drained twice need not be
+        decoded twice); ``None`` decodes here.
         """
         stats = self._empty_stats()
         try:
@@ -366,7 +371,11 @@ class MemoryController:
             is_write = (np.asarray(flags) & FLAG_WRITE).astype(bool)
         if not isinstance(addrs, (list, np.ndarray)):
             addrs = np.asarray(addrs)
-        _, first, complete, hit = self._simulate_columns(addrs, arrive, is_write, stats)
+        if decoded is not None and len(decoded) != n:
+            raise ValueError(f"decoded batch of {len(decoded)} for {n} addrs")
+        _, first, complete, hit = self._simulate_columns(
+            addrs, arrive, is_write, stats, decoded
+        )
         if detail:
             return stats, RequestTimings(
                 first_command_cycles=first,
@@ -543,17 +552,19 @@ class MemoryController:
         arrive: np.ndarray,
         is_write: np.ndarray,
         stats: ControllerStats,
+        decoded: Optional[DecodedBatch] = None,
     ) -> tuple:
         """Shared core: simulate decoded columns, fill ``stats``, and
         return ``(batch, first_command, complete, row_hit)`` arrays in
         input order.
 
         Channels are timing-independent, so each channel's queue is
-        drained separately and stats are merged.
+        drained separately and stats are merged.  ``decoded`` is the
+        caller's decode of ``addrs``, if it has one.
         """
         org = self.config.organization
         n = len(arrive)
-        batch = self.mapper.decode_batch(addrs)
+        batch = self.mapper.decode_batch(addrs) if decoded is None else decoded
         flat = batch.flat_bank_index(org.n_bankgroups, org.banks_per_group)
         stats.writes = int(np.count_nonzero(is_write))
         stats.reads = n - stats.writes
@@ -667,8 +678,9 @@ class MemoryController:
             stats.queue_delay_max = 0
             return
         stats.queue_delay_mean = float(delays.mean())
-        stats.queue_delay_p50 = float(np.percentile(delays, 50))
-        stats.queue_delay_p99 = float(np.percentile(delays, 99))
+        p50, p99 = np.percentile(delays, [50, 99])
+        stats.queue_delay_p50 = float(p50)
+        stats.queue_delay_p99 = float(p99)
         stats.queue_delay_max = int(delays.max())
 
     def sustained_bandwidth(self, stats: ControllerStats) -> float:

@@ -16,13 +16,16 @@ module models that directly:
   :class:`~repro.core.runtime.MoNDERuntime` encoder/decoder results at
   the batch geometry each step actually composes (quantized to powers
   of two so calibration stays cheap), not a fixed reference geometry.
-- :class:`BatchingEngine` runs discrete inference *steps* on the
-  shared :class:`~repro.sim.engine.SimEngine`: each step admits new
-  prefills from the waiting queue (token-budget and batch-size
-  bounded, prefill- or decode-priority) alongside one decode token
-  for every in-flight request, charges the step from the cost model,
-  and records per-request TTFT, queue delay, per-step decode batches,
-  and end-to-end latency.
+- :class:`BatchingEngine` runs discrete inference *steps*: each step
+  admits new prefills from the waiting queue (token-budget and
+  batch-size bounded, prefill- or decode-priority) alongside one
+  decode token for every in-flight request, charges the step from the
+  cost model, and records per-request TTFT, queue delay, per-step
+  decode batches, and end-to-end latency.  Time advances by a two-way
+  merge of the arrival-sorted requests and the one pending step end,
+  with no event heap: on equal times the arrival fires first, the
+  order the heap of :class:`~repro.sim.engine.SimEngine` gives the
+  reference loop.
 
 At ``max_batch=1`` the engine coalesces each request's prefill and
 full decode into one fused step whose cost is the exact seed
@@ -34,7 +37,9 @@ by the equivalence suite.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from repro.core.engine import Platform
@@ -43,10 +48,20 @@ from repro.core.strategies import Scheme
 from repro.moe.config import MoEModelConfig
 from repro.serving.simulator import CompletedRequest, CostModel, ServingResult
 from repro.serving.workload import Request, RequestPhase
-from repro.sim.engine import SimEngine
 from repro.workloads.traces import RoutingProfile
 
 BATCH_PRIORITIES = ("prefill", "decode")
+
+_arrival = attrgetter("arrival")
+
+
+def _check_duration(seconds: float, now: float) -> None:
+    """A step may not end before it starts (a negative surcharge
+    would run the clock backwards)."""
+    if seconds < 0:
+        raise ValueError(
+            f"step starting at {now!r} s has negative duration {seconds!r} s"
+        )
 
 
 @dataclass(frozen=True)
@@ -252,26 +267,74 @@ class BatchingEngine:
         self.extra_prefill = extra_prefill_seconds_per_token
         self.extra_decode = extra_decode_seconds_per_token
 
+    # -- event order ---------------------------------------------------------
+    #
+    # Both paths replay the event order of a discrete-event heap without
+    # one.  Every arrival is known before the run starts and at most one
+    # step end is ever pending, so the next event is whichever of the
+    # next arrival (in stable arrival order) and the pending step end
+    # comes first; on equal times the arrival fires first, as it would
+    # in a heap that scheduled every arrival before the run began.
+
     # -- fused path: max_batch=1 == the seed FIFO ---------------------------
 
     def _run_fused(self, requests: list[Request]) -> ServingResult:
         """One request per step, prefill+decode coalesced: the seed
-        FIFO simulator's exact event structure and float arithmetic
-        (the surcharge terms add 0.0 when unused)."""
-        engine = SimEngine()
+        FIFO simulator's exact event order and float arithmetic (the
+        surcharge terms add 0.0 when unused)."""
         result = ServingResult(scheme=self.scheme, engine="fifo")
         cost = self.cost_model
-        queue: list[Request] = []
-        state = {"busy": False}
-
-        def start_service(request: Request) -> None:
-            state["busy"] = True
-            start = engine.now
+        extra_p, extra_d = self.extra_prefill, self.extra_decode
+        queue_limit = self.config.queue_limit
+        arrivals = sorted(requests, key=_arrival)
+        n = len(arrivals)
+        queue: deque[Request] = deque()
+        # The request in service (None when idle), its start, its
+        # first-token time and the end of its step.
+        serving: Optional[Request] = None
+        start = first_token = end = 0.0
+        now = 0.0
+        i = 0
+        while True:
+            if i < n and (serving is None or arrivals[i].arrival <= end):
+                request = arrivals[i]
+                i += 1
+                now = request.arrival
+                request.lifecycle.reset()
+                if serving is not None:
+                    if len(queue) >= queue_limit:
+                        result.rejected += 1
+                    else:
+                        queue.append(request)
+                    continue
+            elif serving is not None:
+                now = end
+                lifecycle = serving.lifecycle
+                lifecycle.phase = RequestPhase.FINISHED
+                lifecycle.first_token = min(first_token, now)
+                lifecycle.finished = now
+                result.completed.append(
+                    CompletedRequest(
+                        request=serving,
+                        start=start,
+                        finish=now,
+                        first_token=lifecycle.first_token,
+                    )
+                )
+                if not queue:
+                    serving = None
+                    continue
+                request = queue.popleft()
+            else:
+                break
+            serving = request
+            start = now
             service = (
                 cost.request_seconds(request)
-                + self.extra_prefill * request.prompt_tokens
-                + self.extra_decode * request.decode_tokens
+                + extra_p * request.prompt_tokens
+                + extra_d * request.decode_tokens
             )
+            _check_duration(service, now)
             result.busy_seconds += service
             request.lifecycle.phase = RequestPhase.PREFILL
             request.lifecycle.admitted = start
@@ -279,46 +342,15 @@ class BatchingEngine:
             # never perturbs the event timeline the seed FIFO produces.
             first_token = start + (
                 cost.prefill_seconds(request.prompt_tokens)
-                + self.extra_prefill * request.prompt_tokens
+                + extra_p * request.prompt_tokens
             )
-
-            def finish() -> None:
-                request.lifecycle.phase = RequestPhase.FINISHED
-                request.lifecycle.first_token = min(first_token, engine.now)
-                request.lifecycle.finished = engine.now
-                result.completed.append(
-                    CompletedRequest(
-                        request=request,
-                        start=start,
-                        finish=engine.now,
-                        first_token=request.lifecycle.first_token,
-                    )
-                )
-                if queue:
-                    start_service(queue.pop(0))
-                else:
-                    state["busy"] = False
-
-            engine.schedule_in(service, finish)
-
-        def arrive(request: Request) -> None:
-            request.lifecycle.reset()
-            if state["busy"]:
-                if len(queue) >= self.config.queue_limit:
-                    result.rejected += 1
-                    return
-                queue.append(request)
-            else:
-                start_service(request)
-
-        for request in sorted(requests, key=lambda r: r.arrival):
-            engine.schedule(request.arrival, lambda r=request: arrive(r))
-        result.horizon = engine.run()
+            end = now + service
+        result.horizon = now
         return result
 
     # -- stepped path: continuous batching ----------------------------------
 
-    def _compose(self, waiting: list[Request], running: list[_DecodeSlot]):
+    def _compose(self, waiting: deque, running: list[_DecodeSlot]) -> list[Request]:
         """Pick the prefills this step admits (popped from waiting)."""
         cfg = self.config
         admitted: list[Request] = []
@@ -330,27 +362,87 @@ class BatchingEngine:
             nxt = waiting[0]
             if admitted and nxt.prompt_tokens > budget:
                 break
-            admitted.append(waiting.pop(0))
+            admitted.append(waiting.popleft())
             budget -= nxt.prompt_tokens
             if budget <= 0:
                 break
         return admitted
 
     def _run_stepped(self, requests: list[Request]) -> ServingResult:
-        engine = SimEngine()
         result = ServingResult(scheme=self.scheme, engine="batching")
         cost = self.cost_model
-        waiting: list[Request] = []
+        extra_p, extra_d = self.extra_prefill, self.extra_decode
+        queue_limit = self.config.queue_limit
+        completed = result.completed
+        arrivals = sorted(requests, key=_arrival)
+        n = len(arrivals)
+        waiting: deque[Request] = deque()
         running: list[_DecodeSlot] = []
-        state = {"busy": False}
-
-        def start_step() -> None:
+        # The step in flight: its admitted prefills, where each prefill
+        # starts, and when the step ends.
+        busy = False
+        admitted: list[Request] = []
+        prefill_starts: list[float] = []
+        end = 0.0
+        now = 0.0
+        i = 0
+        while True:
+            if i < n and (not busy or arrivals[i].arrival <= end):
+                request = arrivals[i]
+                i += 1
+                now = request.arrival
+                request.lifecycle.reset()
+                if busy:
+                    if len(waiting) >= queue_limit:
+                        result.rejected += 1
+                    else:
+                        waiting.append(request)
+                    continue
+                waiting.append(request)
+            elif busy:
+                now = end
+                decoding: list[_DecodeSlot] = []
+                for slot in running:
+                    slot.remaining -= 1
+                    if slot.remaining == 0:
+                        slot.request.lifecycle.phase = RequestPhase.FINISHED
+                        slot.request.lifecycle.finished = now
+                        slot.record.finish = now
+                        completed.append(slot.record)
+                    else:
+                        decoding.append(slot)
+                running = decoding
+                for request, prefill_start in zip(admitted, prefill_starts):
+                    lifecycle = request.lifecycle
+                    lifecycle.first_token = now
+                    record = CompletedRequest(
+                        request=request,
+                        start=lifecycle.admitted,
+                        finish=now,
+                        first_token=now,
+                        prefill_start=prefill_start,
+                    )
+                    if request.decode_tokens == 0:
+                        lifecycle.phase = RequestPhase.FINISHED
+                        lifecycle.finished = now
+                        completed.append(record)
+                    else:
+                        lifecycle.phase = RequestPhase.DECODE
+                        running.append(
+                            _DecodeSlot(
+                                request=request,
+                                record=record,
+                                remaining=request.decode_tokens,
+                            )
+                        )
+            else:
+                break
+            # Start the next step at `now`, or go idle.
             admitted = self._compose(waiting, running)
             if not admitted and not running:
-                state["busy"] = False
-                return
-            state["busy"] = True
-            now = engine.now
+                busy = False
+                continue
+            busy = True
             duration = 0.0
             # Prefills run back to back within the step; remember where
             # each one lands so the DRAM replay can emit its weight
@@ -363,7 +455,7 @@ class BatchingEngine:
                 prefill_starts.append(now + duration)
                 duration += (
                     cost.prefill_seconds(request.prompt_tokens)
-                    + self.extra_prefill * request.prompt_tokens
+                    + extra_p * request.prompt_tokens
                 )
             decode_batch = len(running)
             if decode_batch:
@@ -371,65 +463,16 @@ class BatchingEngine:
                 # step's prefills.
                 decode_start = now + duration
                 duration += (
-                    cost.decode_step_seconds(decode_batch)
-                    + self.extra_decode * decode_batch
+                    cost.decode_step_seconds(decode_batch) + extra_d * decode_batch
                 )
                 for slot in running:
                     slot.record.decode_step_starts.append(decode_start)
                     slot.record.decode_step_batches.append(decode_batch)
+            _check_duration(duration, now)
             result.busy_seconds += duration
             result.n_steps += 1
-
-            def step_end() -> None:
-                end = engine.now
-                for slot in list(running):
-                    slot.remaining -= 1
-                    if slot.remaining == 0:
-                        running.remove(slot)
-                        slot.request.lifecycle.phase = RequestPhase.FINISHED
-                        slot.request.lifecycle.finished = end
-                        slot.record.finish = end
-                        result.completed.append(slot.record)
-                for request, prefill_start in zip(admitted, prefill_starts):
-                    request.lifecycle.first_token = end
-                    record = CompletedRequest(
-                        request=request,
-                        start=request.lifecycle.admitted,
-                        finish=end,
-                        first_token=end,
-                        prefill_start=prefill_start,
-                    )
-                    if request.decode_tokens == 0:
-                        request.lifecycle.phase = RequestPhase.FINISHED
-                        request.lifecycle.finished = end
-                        result.completed.append(record)
-                    else:
-                        request.lifecycle.phase = RequestPhase.DECODE
-                        running.append(
-                            _DecodeSlot(
-                                request=request,
-                                record=record,
-                                remaining=request.decode_tokens,
-                            )
-                        )
-                start_step()
-
-            engine.schedule_in(duration, step_end)
-
-        def arrive(request: Request) -> None:
-            request.lifecycle.reset()
-            if state["busy"]:
-                if len(waiting) >= self.config.queue_limit:
-                    result.rejected += 1
-                    return
-                waiting.append(request)
-            else:
-                waiting.append(request)
-                start_step()
-
-        for request in sorted(requests, key=lambda r: r.arrival):
-            engine.schedule(request.arrival, lambda r=request: arrive(r))
-        result.horizon = engine.run()
+            end = now + duration
+        result.horizon = now
         return result
 
     def run(self, requests: list[Request]) -> ServingResult:

@@ -4,7 +4,10 @@ One inference server processes requests FIFO (no preemption): each
 request costs an encoder pass over its prompt plus an auto-regressive
 decode of its generated tokens, with per-token costs supplied by a
 :class:`CostModel` built from the scheme runtimes.  Queueing dynamics
-come from the shared :class:`~repro.sim.engine.SimEngine`.
+come from :class:`~repro.serving.engine.BatchingEngine` at
+``max_batch=1``, which replays the event order of the seed
+:class:`~repro.sim.engine.SimEngine` loop kept in
+:mod:`repro.serving.reference` without an event heap.
 """
 
 from __future__ import annotations

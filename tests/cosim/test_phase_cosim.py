@@ -24,6 +24,8 @@ from repro.cosim import (
     small_cosim_dram,
 )
 from repro.cosim.sweep import SweepPoint
+from repro.dram.address import AddressMapper
+from repro.dram.controller import RequestTimings
 from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
 from repro.serving.simulator import CostModel, ServingSimulator
 from repro.serving.workload import RequestGenerator
@@ -318,3 +320,119 @@ def test_drain_that_loses_a_request_is_refused(parts, engine):
     )
     with pytest.raises(RuntimeError, match="iteration 0: drained"):
         driver.run(requests_at(1e5, n=8))
+
+
+def _batching_trace(cost, rate=SATURATING_RATE, n=60):
+    serving = BatchingEngine(
+        PhaseCostModel.from_cost_model(cost, decode_marginal_fraction=0.5),
+        Scheme.MD_LB,
+        BatchConfig(),
+    ).run(requests_at(rate, n=n))
+    return make_planner().replay(serving)
+
+
+@pytest.mark.parametrize(
+    "builder", ["_isolated_element_latencies", "_isolated_makespans"]
+)
+def test_isolation_drain_that_loses_a_request_is_refused(parts, builder):
+    cost, _ = parts
+    planner = make_planner()
+    trace = _batching_trace(cost)
+    driver = CosimDriver(
+        cost, Scheme.MD_LB, planner, backend=_DroppingBackend(planner.config)
+    )
+    with pytest.raises(RuntimeError, match="isolation drain: drained"):
+        getattr(driver, builder)(trace)
+
+
+class _LateBackend(SingleDeviceBackend):
+    """Reports the first element of every stream as completing long
+    after everything else, as if its run spilled into the next."""
+
+    def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
+        stats, timings = super().simulate(addrs, arrive_cycles, flags, request_ids)
+        complete = timings.complete_cycles.copy()
+        complete[0] = arrive_cycles[-1] + 1
+        return stats, RequestTimings(
+            timings.first_command_cycles,
+            complete,
+            timings.queue_delays,
+            timings.row_hits,
+        )
+
+
+@pytest.mark.parametrize(
+    "builder", ["_isolated_element_latencies", "_isolated_makespans"]
+)
+def test_isolation_runs_that_overlap_are_refused(parts, builder):
+    cost, _ = parts
+    planner = make_planner()
+    trace = _batching_trace(cost)
+    driver = CosimDriver(
+        cost, Scheme.MD_LB, planner, backend=_LateBackend(planner.config)
+    )
+    first = int(trace.request_ids[0])
+    with pytest.raises(RuntimeError, match=f"run of request {first} completes"):
+        getattr(driver, builder)(trace)
+
+
+def test_isolation_runs_complete_before_the_next_arrives(parts):
+    # The premise the checks enforce holds with room to spare on the
+    # real controller at a saturating load.
+    cost, _ = parts
+    planner = make_planner()
+    trace = _batching_trace(cost)
+    backend = _RecordingBackend(planner.config)
+    driver = CosimDriver(cost, Scheme.MD_LB, planner, backend=backend)
+    latencies = driver._isolated_element_latencies(trace)
+    (arrive,) = backend.arrivals
+    complete = arrive + latencies
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(trace.request_ids)) + 1))
+    last = np.maximum.reduceat(complete, starts)
+    assert (last[:-1] < arrive[starts[1:]]).all()
+
+
+def test_backend_decodes_a_read_only_trace_once(parts, monkeypatch):
+    cost, _ = parts
+    trace = _batching_trace(cost)
+    config = make_planner().config
+    calls = []
+    original = AddressMapper.decode_batch
+
+    def counting(self, addrs):
+        calls.append(addrs)
+        return original(self, addrs)
+
+    monkeypatch.setattr(AddressMapper, "decode_batch", counting)
+    shifted = trace.arrive_cycles + 1000
+    writeable = trace.addrs.copy()
+    fresh = [
+        SingleDeviceBackend(config).simulate(writeable, arrive, trace.flags)
+        for arrive in (trace.arrive_cycles, shifted)
+    ]
+    assert len(calls) == 2
+    readonly = trace.addrs.copy()
+    readonly.flags.writeable = False
+    backend = SingleDeviceBackend(config)
+    memo = [
+        backend.simulate(readonly, arrive, trace.flags)
+        for arrive in (trace.arrive_cycles, shifted)
+    ]
+    assert len(calls) == 3  # the second drain reused the first decode
+    # Neither a writeable array nor a read-only view of one is memoized.
+    backend.simulate(writeable, trace.arrive_cycles, trace.flags)
+    backend.simulate(writeable, trace.arrive_cycles, trace.flags)
+    view = writeable[:]
+    view.flags.writeable = False
+    backend.simulate(view, trace.arrive_cycles, trace.flags)
+    backend.simulate(view, trace.arrive_cycles, trace.flags)
+    assert len(calls) == 7
+    for (s_fresh, t_fresh), (s_memo, t_memo) in zip(fresh, memo):
+        assert s_fresh == s_memo
+        for field in (
+            "first_command_cycles",
+            "complete_cycles",
+            "queue_delays",
+            "row_hits",
+        ):
+            assert np.array_equal(getattr(t_fresh, field), getattr(t_memo, field))
